@@ -2,7 +2,6 @@
 
 from .groups import (
     CayleyTableGroup,
-    CheckPolicy,
     FiniteGroup,
     Homomorphism,
     InputError,

@@ -29,7 +29,7 @@ from .groups import (
 )
 from .verify import run_verification
 from .zipdata import ZipDatum, refine_to_stationary, twist
-from .zoo import WittZipConfig, build_small_zoo, build_witt_zip, zoo_entry
+from .zoo import WittZipConfig, build_small_zoo, build_witt_zip, witt_sigma_table, zoo_entry
 
 COMMANDS = ("refine", "infinity", "orbits", "classes", "forest", "verify", "zoo")
 
@@ -109,21 +109,6 @@ def _parse_element(group: FiniteGroup, literal, where: str):
     _fail(where, f"cannot interpret element literal {literal!r}")
 
 
-def _witt_sigma_table(E: FiniteGroup, G: FiniteGroup, p: int, where: str) -> dict:
-    if not (isinstance(E, MatrixGroup) and isinstance(G, MatrixGroup)):
-        _fail(where, "witt presets need matrix groups")
-    if E.size != 2 or G.size != 2 or E.modulus != G.modulus * p:
-        _fail(where, "witt presets need 2x2 groups with E modulus = p * G modulus")
-    m = G.modulus
-    table = {}
-    for e in E:
-        a, b, c, d = e
-        if c % p:
-            _fail(where, "witt-sigma needs lower-left entries divisible by p")
-        table[e] = (a % m, (p * b) % m, (c // p) % m, d % m)
-    return table
-
-
 def _build_hom(spec, E: FiniteGroup, G: FiniteGroup, where: str) -> Homomorphism:
     if not isinstance(spec, dict):
         _fail(where, "hom spec must be an object")
@@ -163,7 +148,7 @@ def _build_hom(spec, E: FiniteGroup, G: FiniteGroup, where: str) -> Homomorphism
             name = _get(spec, where, "name", str)
             if name == "witt-sigma":
                 p = _get(spec, where, "p", int)
-                return Homomorphism(E, G, _witt_sigma_table(E, G, p, where))
+                return Homomorphism(E, G, witt_sigma_table(E, G, p))
             if name == "witt-tau":
                 if not (isinstance(E, MatrixGroup) and isinstance(G, MatrixGroup)):
                     _fail(where, "witt presets need matrix groups")
@@ -177,7 +162,9 @@ def _build_hom(spec, E: FiniteGroup, G: FiniteGroup, where: str) -> Homomorphism
     _fail(f"{where}.type", f"unknown hom type {kind!r}")
 
 
-def load_job(config_path: Path) -> Job:
+def load_job(config_path: Path, max_order: int | None = None) -> Job:
+    """Parse a config into a job.  With max_order, a preset whose closed-form
+    carrier order exceeds it is refused before anything is enumerated."""
     where = str(config_path)
     try:
         text = config_path.read_text(encoding="utf-8")
@@ -214,7 +201,10 @@ def load_job(config_path: Path) -> Job:
             p = _get(preset, f"{where}.preset", "p", int)
             n = _get(preset, f"{where}.preset", "n", int)
             try:
-                datum, _ = build_witt_zip(WittZipConfig(p, n))
+                config = WittZipConfig(p, n)
+                if max_order is not None:
+                    _enforce_max_order(max(config.e_order, config.g_order), max_order)
+                datum, _ = build_witt_zip(config)
             except InputError as exc:
                 _fail(f"{where}.preset", str(exc))
             return Job(name, datum, twist_literal, seed, command, out_path)
@@ -315,7 +305,7 @@ def _run_zoo(out_dir: Path | None, seed: int, max_order: int) -> int:
     files = {}
     lines = []
     for entry_name, datum in build_small_zoo().items():
-        _enforce_max_order(datum, max_order)
+        _enforce_max_order(max(datum.E.order, datum.G.order), max_order)
         results = run_verification(datum, seed=seed)
         for r in results:
             lines.append(
@@ -329,8 +319,7 @@ def _run_zoo(out_dir: Path | None, seed: int, max_order: int) -> int:
     return EXIT_OK if all_ok else EXIT_CHECK
 
 
-def _enforce_max_order(z: ZipDatum, max_order: int):
-    biggest = max(z.E.order, z.G.order)
+def _enforce_max_order(biggest: int, max_order: int):
     if biggest > max_order:
         raise ResourceLimitExceeded(
             f"carrier of order {biggest} exceeds --max-order {max_order}"
@@ -358,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        job = load_job(args.config) if args.config is not None else None
+        job = load_job(args.config, args.max_order) if args.config is not None else None
         command = args.command or (job.command if job else None)
         if command is None:
             raise ConfigError('no command given: pass --command or set "command" in the config')
@@ -367,7 +356,7 @@ def main(argv=None) -> int:
             return _run_zoo(out_dir, job.seed if job else 0, args.max_order)
         if job is None:
             raise ConfigError(f"--config is required for the {command} command")
-        _enforce_max_order(job.datum, args.max_order)
+        _enforce_max_order(max(job.datum.E.order, job.datum.G.order), args.max_order)
         literal = args.twist if args.twist is not None else job.twist_literal
         if literal is not None:
             x = _parse_element(job.datum.G, literal, f"{args.config}.twist")

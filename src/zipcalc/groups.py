@@ -13,7 +13,8 @@ All types are immutable once constructed and safe to share between workers.
 from __future__ import annotations
 
 import itertools
-import random
+import operator
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,57 +31,60 @@ class InvariantViolation(RuntimeError):
     """An internal structural guarantee failed; this signals a bug."""
 
 
-@dataclass(frozen=True)
-class CheckPolicy:
-    """Budget for eager law checks.
+def _int_tuple(values, what: str) -> tuple:
+    """values as a tuple of ints; anything else is an InputError."""
+    try:
+        return tuple(operator.index(v) for v in values)
+    except TypeError:
+        raise InputError(f"{what} must be a list of integers, got {values!r}") from None
 
-    A check enumerates exhaustively while the carrier has at most
-    ``exhaustive_threshold`` elements and the enumeration stays within
-    ``op_budget`` primitive operations; beyond either bound it falls back to
-    ``sample_count`` seeded random probes.
+
+def _mulclose(mul, identity, candidates, carrier=None):
+    """Closure of {identity} under right multiplication by candidates.
+
+    Candidates are taken in order and one already inside the closure so far
+    is skipped, so the kept ones form a greedy generating set; it is
+    key-minimal when the candidates come in key order.  In a finite group
+    the submonoid generated this way is the subgroup.  Adding x to the
+    closure H grows <H, x> one right coset H*y at a time.  With a carrier,
+    the first product outside it raises InputError.
+
+    Returns (closure, generators).
     """
-
-    exhaustive_threshold: int = 4096
-    sample_count: int = 100_000
-    op_budget: int = 2_000_000
-    seed: int = 0
-
-    def pairs_exhaustive(self, n: int) -> bool:
-        return n <= self.exhaustive_threshold and n * n <= self.op_budget
-
-    def triples_exhaustive(self, n: int) -> bool:
-        return n <= self.exhaustive_threshold and n**3 <= self.op_budget
-
-
-DEFAULT_POLICY = CheckPolicy()
-
-
-def _mulclose(mul, identity, gens):
-    """Closure of {identity} ∪ gens under two-sided products (finite case)."""
-    els = {identity}
-    els.update(gens)
-    frontier = list(els)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for g in gens:
-                for c in (mul(a, g), mul(g, a)):
-                    if c not in els:
-                        els.add(c)
-                        fresh.append(c)
-        frontier = fresh
-    return els
-
-
-def _greedy_generators(mul, identity, members_sorted):
-    """A small deterministic generating set: first sweep in key order."""
+    members = {identity}
     gens = []
-    closed = {identity}
-    for x in members_sorted:
-        if x not in closed:
-            gens.append(x)
-            closed = _mulclose(mul, identity, gens)
-    return tuple(gens)
+    for x in candidates:
+        if x in members:
+            continue
+        gens.append(x)
+        old = list(members)
+        reps = [identity]
+        for r in reps:  # grows while it is walked
+            for g in gens:
+                y = mul(r, g)
+                if y in members:
+                    continue
+                coset = [mul(h, y) for h in old]
+                if carrier is not None and not carrier.issuperset(coset):
+                    raise InputError("carrier is not closed under multiplication")
+                members.update(coset)
+                reps.append(y)
+    return members, tuple(gens)
+
+
+def _light_associative(table, gens) -> bool:
+    """Light's test over an index table: (x*s)*y == x*(s*y) for every x, y
+    and every s in a generating set.
+
+    The elements s passing for all x, y are closed under products, so
+    checking generators certifies the whole table in n^2 * |gens| lookups.
+    """
+    for s in gens:
+        row_s = table[s]
+        for row_x in table:
+            if table[row_x[s]] != tuple(map(row_x.__getitem__, row_s)):
+                return False
+    return True
 
 
 class FiniteGroup:
@@ -92,18 +96,17 @@ class FiniteGroup:
 
     backend = "abstract"
 
-    def __init__(self, elements, identity, *, check=True, policy=DEFAULT_POLICY):
+    def __init__(self, elements, identity, *, check=True):
         self.elements = tuple(sorted(elements))
         self.element_set = frozenset(self.elements)
         if len(self.elements) != len(self.element_set):
             raise InputError("carrier contains duplicate elements")
         self.identity = identity
-        self.policy = policy
         if identity not in self.element_set:
             raise InputError("identity is missing from the carrier")
         if check:
             self._check_identity_inverse()
-            self._check_closure()
+            self.generators  # certifies closure
 
     # -- group operations ---------------------------------------------------
 
@@ -154,10 +157,33 @@ class FiniteGroup:
         """The same backend operations on a smaller carrier."""
         g = object.__new__(type(self))
         self._copy_backend_fields(g)
-        FiniteGroup.__init__(g, members, self.identity, check=False, policy=self.policy)
+        FiniteGroup.__init__(g, members, self.identity, check=False)
         return g
 
     # -- eager checks ---------------------------------------------------------
+
+    @cached_property
+    def generators(self) -> tuple:
+        """The key-minimal greedy generating set S of the carrier.
+
+        Computing it is the closure certificate: the right-multiplication
+        closure of S stays inside the carrier and covers it.
+        """
+        return _mulclose(self.mul, self.identity, self.elements, self.element_set)[1]
+
+    @cached_property
+    def _generator_columns(self) -> tuple:
+        """Per generator s, the carrier index of a*s for each a in key order.
+
+        Computed once per group, so every homomorphism check on this source
+        reuses the |carrier|*|S| products; unsigned arrays keep them at four
+        bytes an entry for the life of the group.
+        """
+        index = {a: i for i, a in enumerate(self.elements)}
+        return tuple(
+            array("I", map(index.__getitem__, map(self.mul, self.elements, itertools.repeat(s))))
+            for s in self.generators
+        )
 
     def _check_identity_inverse(self):
         e = self.identity
@@ -168,43 +194,20 @@ class FiniteGroup:
             if b not in self.element_set or self.mul(a, b) != e or self.mul(b, a) != e:
                 raise InputError(f"inverse law fails at {self.format_element(a)}")
 
-    def _check_closure(self):
-        n = self.order
-        if self.policy.pairs_exhaustive(n):
-            pairs = itertools.product(self.elements, self.elements)
-        else:
-            rng = random.Random(self.policy.seed)
-            pairs = (
-                (self.elements[rng.randrange(n)], self.elements[rng.randrange(n)])
-                for _ in range(self.policy.sample_count)
-            )
-        for a, b in pairs:
-            if self.mul(a, b) not in self.element_set:
-                raise InputError("carrier is not closed under multiplication")
 
-
-def validate_group_laws(group: FiniteGroup, *, policy: CheckPolicy | None = None):
+def validate_group_laws(group: FiniteGroup):
     """Full law battery: identity, inverses, closure, associativity.
 
-    Associativity runs over all triples within the policy budget and over
-    seeded random triples beyond it.
+    Closure is certified over the greedy generating set and associativity by
+    Light's test over the multiplication table, in O(n^2 * |S|) lookups.
     """
-    policy = policy or group.policy
     group._check_identity_inverse()
-    group._check_closure()
-    n = group.order
-    if policy.triples_exhaustive(n):
-        triples = itertools.product(group.elements, group.elements, group.elements)
-    else:
-        rng = random.Random(policy.seed)
-        els = group.elements
-        triples = (
-            (els[rng.randrange(n)], els[rng.randrange(n)], els[rng.randrange(n)])
-            for _ in range(policy.sample_count)
-        )
-    for a, b, c in triples:
-        if group.mul(group.mul(a, b), c) != group.mul(a, group.mul(b, c)):
-            raise InputError("multiplication is not associative")
+    gens = group.generators
+    els = group.elements
+    index = {a: i for i, a in enumerate(els)}
+    table = tuple(tuple(index[group.mul(a, b)] for b in els) for a in els)
+    if not _light_associative(table, [index[s] for s in gens]):
+        raise InputError("multiplication is not associative")
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +223,9 @@ class PermutationGroup(FiniteGroup):
 
     backend = "permutation"
 
-    def __init__(self, degree, elements, *, check=True, policy=DEFAULT_POLICY):
+    def __init__(self, degree, elements, *, check=True):
         self.degree = int(degree)
-        super().__init__(elements, tuple(range(self.degree)), check=check, policy=policy)
+        super().__init__(elements, tuple(range(self.degree)), check=check)
 
     def mul(self, a, b):
         return tuple(a[i] for i in b)
@@ -266,7 +269,10 @@ class PermutationGroup(FiniteGroup):
             raise InputError(f"cannot parse permutation literal {text!r}")
         out = list(range(self.degree))
         for body in s[1:-1].split(")("):
-            points = [int(tok) for tok in body.split()]
+            try:
+                points = [int(tok) for tok in body.split()]
+            except ValueError:
+                raise InputError(f"cannot parse permutation literal {text!r}") from None
             if len(points) != len(set(points)):
                 raise InputError(f"repeated point in cycle {text!r}")
             for p in points:
@@ -280,23 +286,23 @@ class PermutationGroup(FiniteGroup):
         return elem
 
     @classmethod
-    def from_generators(cls, degree, generators, *, policy=DEFAULT_POLICY):
+    def from_generators(cls, degree, generators):
         degree = int(degree)
         gens = []
         for g in generators:
-            g = tuple(int(i) for i in g)
+            g = _int_tuple(g, "permutation generator")
             if sorted(g) != list(range(degree)):
                 raise InputError(f"{g} is not a permutation of 0..{degree - 1}")
             gens.append(g)
         identity = tuple(range(degree))
         mul = lambda a, b: tuple(a[i] for i in b)
-        return cls(degree, _mulclose(mul, identity, gens), policy=policy)
+        return cls(degree, _mulclose(mul, identity, gens)[0])
 
     @classmethod
-    def symmetric(cls, degree, *, policy=DEFAULT_POLICY):
+    def symmetric(cls, degree):
         if degree > 8:
             raise InputError("symmetric group carrier too large to enumerate")
-        return cls(degree, itertools.permutations(range(degree)), check=False, policy=policy)
+        return cls(degree, itertools.permutations(range(degree)), check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -324,14 +330,14 @@ class MatrixGroup(FiniteGroup):
 
     backend = "matrix"
 
-    def __init__(self, size, modulus, elements, *, check=True, policy=DEFAULT_POLICY):
+    def __init__(self, size, modulus, elements, *, check=True):
         self.size = int(size)
         self.modulus = int(modulus)
         if self.size < 1 or self.modulus < 2:
             raise InputError("matrix backend needs size >= 1 and modulus >= 2")
         n = self.size
         identity = tuple(1 if i == j else 0 for i in range(n) for j in range(n))
-        super().__init__(elements, identity, check=check, policy=policy)
+        super().__init__(elements, identity, check=check)
 
     def mul(self, a, b):
         m = self.modulus
@@ -397,24 +403,24 @@ class MatrixGroup(FiniteGroup):
         return entries
 
     @classmethod
-    def from_generators(cls, size, modulus, generators, *, policy=DEFAULT_POLICY):
+    def from_generators(cls, size, modulus, generators):
         size, modulus = int(size), int(modulus)
         gens = []
         for g in generators:
-            g = tuple(int(v) % modulus for v in g)
+            g = tuple(v % modulus for v in _int_tuple(g, "matrix generator"))
             if len(g) != size * size:
                 raise InputError(f"generator {g} needs {size * size} entries")
             gens.append(g)
-        probe = cls(size, modulus, [tuple(1 if i == j else 0 for i in range(size) for j in range(size))], check=False, policy=policy)
+        probe = cls(size, modulus, [tuple(1 if i == j else 0 for i in range(size) for j in range(size))], check=False)
         from math import gcd
 
         for g in gens:
             if gcd(probe.det(g), modulus) != 1:
                 raise InputError(f"generator {probe.format_element(g)} is not invertible mod {modulus}")
-        return cls(size, modulus, _mulclose(probe.mul, probe.identity, gens), policy=policy)
+        return cls(size, modulus, _mulclose(probe.mul, probe.identity, gens)[0])
 
     @classmethod
-    def general_linear(cls, size, modulus, *, policy=DEFAULT_POLICY):
+    def general_linear(cls, size, modulus):
         """All invertible matrices, by enumeration; practical for small sizes."""
         size, modulus = int(size), int(modulus)
         if modulus ** (size * size) > 5_000_000:
@@ -426,7 +432,7 @@ class MatrixGroup(FiniteGroup):
             rows = [list(entries[i * size : (i + 1) * size]) for i in range(size)]
             if gcd(_int_det(rows) % modulus, modulus) == 1:
                 carrier.append(entries)
-        return cls(size, modulus, carrier, check=False, policy=policy)
+        return cls(size, modulus, carrier, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +445,8 @@ class CayleyTableGroup(FiniteGroup):
 
     backend = "cayley"
 
-    def __init__(self, table, *, check=True, policy=DEFAULT_POLICY):
-        table = tuple(tuple(int(x) for x in row) for row in table)
+    def __init__(self, table, *, check=True):
+        table = tuple(_int_tuple(row, f"Cayley table row {i}") for i, row in enumerate(table))
         n = len(table)
         for i, row in enumerate(table):
             if len(row) != n:
@@ -466,9 +472,9 @@ class CayleyTableGroup(FiniteGroup):
             if inv_table[i] is None:
                 raise InputError(f"Cayley table element {i} has no inverse")
         self.inv_table = tuple(inv_table)
-        super().__init__(range(n), identity, check=check, policy=policy)
-        if check:
-            self._check_associativity()
+        super().__init__(range(n), identity, check=check)
+        if check and not _light_associative(table, self.generators):
+            raise InputError("Cayley table is not associative")
 
     def mul(self, a, b):
         return self.table[a][b]
@@ -495,21 +501,6 @@ class CayleyTableGroup(FiniteGroup):
         if a not in self.element_set:
             raise InputError(f"index {a} is not in this group")
         return a
-
-    def _check_associativity(self):
-        n = len(self.table)
-        tab = self.table
-        if self.policy.triples_exhaustive(n):
-            triples = itertools.product(range(n), repeat=3)
-        else:
-            rng = random.Random(self.policy.seed)
-            triples = (
-                (rng.randrange(n), rng.randrange(n), rng.randrange(n))
-                for _ in range(self.policy.sample_count)
-            )
-        for a, b, c in triples:
-            if tab[tab[a][b]][c] != tab[a][tab[b][c]]:
-                raise InputError("Cayley table is not associative")
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +551,7 @@ class Subgroup:
 
     @cached_property
     def generating_set(self) -> tuple:
-        return _greedy_generators(self.ambient.mul, self.ambient.identity, self.elements)
+        return self.as_group().generators
 
     @cached_property
     def _as_group(self) -> FiniteGroup:
@@ -571,25 +562,15 @@ class Subgroup:
         return self._as_group
 
     def validate(self):
-        """Check identity membership and closure under product and inverse."""
+        """Check identity membership, closure under inverse, and the closure
+        certificate: the greedy generators' closure stays inside and covers."""
         amb = self.ambient
         if amb.identity not in self.members:
             raise InputError("subgroup does not contain the identity")
         for a in self.elements:
             if amb.inv(a) not in self.members:
                 raise InputError("subgroup not closed under inverse")
-        n = self.order
-        if amb.policy.pairs_exhaustive(n):
-            pairs = itertools.product(self.elements, self.elements)
-        else:
-            rng = random.Random(amb.policy.seed)
-            pairs = (
-                (self.elements[rng.randrange(n)], self.elements[rng.randrange(n)])
-                for _ in range(amb.policy.sample_count)
-            )
-        for a, b in pairs:
-            if amb.mul(a, b) not in self.members:
-                raise InputError("subgroup not closed under product")
+        self.generating_set  # raises once a product leaves the members
 
 
 def full_subgroup(group: FiniteGroup) -> Subgroup:
@@ -606,7 +587,7 @@ def closure(ambient: FiniteGroup, generators) -> Subgroup:
     for g in gens:
         if g not in ambient:
             raise InputError("closure generator outside the ambient carrier")
-    return Subgroup(ambient, _mulclose(ambient.mul, ambient.identity, gens))
+    return Subgroup(ambient, _mulclose(ambient.mul, ambient.identity, gens)[0])
 
 
 def conjugate(sub: Subgroup, x) -> Subgroup:
@@ -627,8 +608,9 @@ class Homomorphism:
     """A group homomorphism materialized as a full element table.
 
     The table is validated at construction time: totality, identity and the
-    multiplicative law (exhaustive within the source policy budget, sampled
-    beyond it).  Preimage queries are then plain set scans.
+    multiplicative law, certified exactly as f(a*s) = f(a)*f(s) for every a
+    in the source and every s in its greedy generating set.  Preimage
+    queries are then plain set scans.
     """
 
     def __init__(self, source: FiniteGroup, target: FiniteGroup, table: dict, *, check=True):
@@ -663,22 +645,19 @@ class Homomorphism:
         return f"<Homomorphism {self.source!r} -> {self.target!r}>"
 
     def _check_structure(self):
-        if self.table[self.source.identity] != self.target.identity:
+        src, tab = self.source, self.table
+        if tab[src.identity] != self.target.identity:
             raise InputError("map does not send identity to identity")
-        src = self.source.elements
-        n = len(src)
-        policy = self.source.policy
-        if policy.pairs_exhaustive(n):
-            pairs = itertools.product(src, src)
-        else:
-            rng = random.Random(policy.seed)
-            pairs = ((src[rng.randrange(n)], src[rng.randrange(n)]) for _ in range(policy.sample_count))
-        mul_s, mul_t, tab = self.source.mul, self.target.mul, self.table
-        for a, b in pairs:
-            if tab[mul_s(a, b)] != mul_t(tab[a], tab[b]):
+        images = list(map(tab.__getitem__, src.elements))
+        values = set(images)
+        for s, column in zip(src.generators, src._generator_columns):
+            # f(a*s) against f(a)*f(s), with one target product per image value
+            times_fs = {g: self.target.mul(g, tab[s]) for g in values}
+            if list(map(images.__getitem__, column)) != list(map(times_fs.__getitem__, images)):
+                a = next(a for a, i in zip(src.elements, column) if images[i] != times_fs[tab[a]])
                 raise InputError(
-                    f"map is not multiplicative at ({self.source.format_element(a)}, "
-                    f"{self.source.format_element(b)})"
+                    f"map is not multiplicative at ({src.format_element(a)}, "
+                    f"{src.format_element(s)})"
                 )
 
     @cached_property
@@ -821,12 +800,12 @@ class DoubleCosetDecomposition:
     def representatives(self) -> tuple:
         return tuple(c.representative for c in self.cosets)
 
+    @cached_property
+    def _coset_by_rep(self) -> dict:
+        return {c.representative: c for c in self.cosets}
+
     def coset_of(self, x) -> DoubleCoset:
-        rep = self.rep_of[x]
-        for c in self.cosets:
-            if c.representative == rep:
-                return c
-        raise InvariantViolation("representative without a coset")
+        return self._coset_by_rep[self.rep_of[x]]
 
 
 def _require_subgroup(ambient: FiniteGroup, sub: Subgroup, name: str):

@@ -19,7 +19,7 @@ from .groups import (
     InputError,
     InvariantViolation,
     Subgroup,
-    _greedy_generators,
+    _mulclose,
 )
 
 
@@ -66,7 +66,7 @@ class ZipDatum:
         def pair_mul(p, q):
             return (G.mul(p[0], q[0]), G.mul(p[1], q[1]))
 
-        gens = _greedy_generators(pair_mul, ident, sorted(pairs))
+        gens = _mulclose(pair_mul, ident, sorted(pairs))[1]
         return tuple((a, G.inv(b), witness[(a, b)]) for a, b in gens)
 
     @cached_property

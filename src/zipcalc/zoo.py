@@ -56,6 +56,18 @@ class WittZipConfig:
         if self.n < 2:
             raise InputError(f"truncation level must be at least 2, got {self.n}")
 
+    @property
+    def e_order(self) -> int:
+        """|E|, in closed form: GL2(Z/p^n) with lower-left entry in pZ/p^n."""
+        p, n = self.p, self.n
+        return p ** (4 * (n - 1)) * (p * p - 1) * (p * p - p) // (p + 1)
+
+    @property
+    def g_order(self) -> int:
+        """|G| = |GL2(Z/p^(n-1))|, in closed form."""
+        p, n = self.p, self.n
+        return p ** (4 * (n - 2)) * (p * p - 1) * (p * p - p)
+
 
 def _matrices_with_divisible_lower_left(modulus: int, divisor: int) -> list:
     out = []
@@ -63,6 +75,28 @@ def _matrices_with_divisible_lower_left(modulus: int, divisor: int) -> list:
         if c % divisor == 0 and gcd((a * d - b * c) % modulus, modulus) == 1:
             out.append((a, b, c, d))
     return out
+
+
+def witt_sigma_table(E: MatrixGroup, G: MatrixGroup, p: int) -> dict:
+    """The table of sigma: (a, b, c, d) -> (a, p*b, c/p, d) one level down.
+
+    E must hold 2x2 matrices modulo p times G's modulus, with lower-left
+    entries divisible by p.
+    """
+    if not (isinstance(E, MatrixGroup) and isinstance(G, MatrixGroup)):
+        raise InputError("witt presets need matrix groups")
+    if E.size != 2 or G.size != 2 or E.modulus != G.modulus * p:
+        raise InputError("witt presets need 2x2 groups with E modulus = p * G modulus")
+    m = G.modulus
+    table = {}
+    for e in E:
+        a, b, c, d = e
+        if c % p:
+            raise InputError("witt-sigma needs lower-left entries divisible by p")
+        # c is read in [0, p^n), so c // p is the well-defined value of c/p
+        # modulo p^(n-1)
+        table[e] = (a % m, (p * b) % m, (c // p) % m, d % m)
+    return table
 
 
 def build_witt_zip(config: WittZipConfig) -> tuple:
@@ -77,13 +111,7 @@ def build_witt_zip(config: WittZipConfig) -> tuple:
     E = MatrixGroup(2, pn, _matrices_with_divisible_lower_left(pn, p))
     G = MatrixGroup.general_linear(2, m)
     tau = Homomorphism(E, G, {e: tuple(v % m for v in e) for e in E})
-    sigma_table = {}
-    for e in E:
-        a, b, c, d = e
-        # c is divisible by p and read in [0, p^n), so c // p is the
-        # well-defined value of c/p modulo p^(n-1)
-        sigma_table[e] = (a % m, (p * b) % m, (c // p) % m, d % m)
-    sigma = Homomorphism(E, G, sigma_table)
+    sigma = Homomorphism(E, G, witt_sigma_table(E, G, p))
     return ZipDatum(E, G, tau, sigma), (0, 1, 1, 0)
 
 

@@ -155,3 +155,46 @@ def brute_force_gl2_carrier(modulus):
         if gcd((a * d - b * c) % modulus, modulus) == 1:
             out.append((a, b, c, d))
     return out
+
+
+# -- law checks, by all pairs and all triples -----------------------------------
+
+
+def naive_is_closed(mul, members):
+    """Every product of two members is a member."""
+    members = set(members)
+    return all(mul(a, b) in members for a in members for b in members)
+
+
+def naive_is_subgroup(group, members):
+    """A nonempty finite subset closed under products is a subgroup."""
+    return group.identity in members and naive_is_closed(group.mul, members)
+
+
+def naive_is_homomorphism(source, target, table):
+    """f(a*b) == f(a)*f(b) for every pair of source elements."""
+    return all(
+        table[source.mul(a, b)] == target.mul(table[a], table[b])
+        for a in source.elements
+        for b in source.elements
+    )
+
+
+def naive_is_group_table(table):
+    """Entries in range, a two-sided identity, two-sided inverses and
+    associativity over every triple."""
+    n = len(table)
+    if any(len(row) != n or any(not 0 <= x < n for x in row) for row in table):
+        return False
+    units = [e for e in range(n) if all(table[e][i] == i == table[i][e] for i in range(n))]
+    if not units:
+        return False
+    e = units[0]
+    if not all(any(table[i][j] == e == table[j][i] for j in range(n)) for i in range(n)):
+        return False
+    return all(
+        table[table[a][b]][c] == table[a][table[b][c]]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )

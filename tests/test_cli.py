@@ -213,6 +213,80 @@ def test_bad_twist_literal(witt22_config, capsys):
     assert code == EXIT_CONFIG
 
 
+PERM3 = {"backend": "permutation", "degree": 3, "generators": [[1, 0, 2]]}
+PERM4 = {"backend": "permutation", "degree": 4, "generators": [[1, 0, 2, 3], [0, 1, 3, 2]]}
+
+
+def _table_sigma(literal):
+    return {"type": "table", "entries": [["()", "()"], [literal, "()"]]}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        pytest.param(
+            {"groups": {"E": PERM3, "G": PERM3}, "tau": {"type": "inclusion"}, "sigma": _table_sigma("(0 x)")},
+            id="non-integer-cycle-point",
+        ),
+        pytest.param(
+            {"groups": {"E": PERM4, "G": PERM4}, "tau": {"type": "inclusion"}, "sigma": _table_sigma("(0 1) (2 3)")},
+            id="spaced-cycles",
+        ),
+        pytest.param(
+            {"groups": {"E": PERM3, "G": PERM3}, "tau": {"type": "inclusion"}, "sigma": {"type": "trivial"},
+             "twist": "(0 x)"},
+            id="non-integer-twist",
+        ),
+        pytest.param(
+            {"groups": {"E": {"backend": "permutation", "degree": 3, "generators": [[1, "a", 2]]}, "G": PERM3},
+             "tau": {"type": "trivial"}, "sigma": {"type": "trivial"}},
+            id="permutation-generator-string",
+        ),
+        pytest.param(
+            {"groups": {"E": {"backend": "permutation", "degree": 3, "generators": [[1.0, 0, 2]]}, "G": PERM3},
+             "tau": {"type": "trivial"}, "sigma": {"type": "trivial"}},
+            id="permutation-generator-float",
+        ),
+        pytest.param(
+            {"groups": {"E": PERM3, "G": {"backend": "matrix", "size": 2, "modulus": 2, "generators": [[1, 0, "x", 1]]}},
+             "tau": {"type": "trivial"}, "sigma": {"type": "trivial"}},
+            id="matrix-generator-string",
+        ),
+        pytest.param(
+            {"groups": {"E": PERM3, "G": {"backend": "matrix", "size": 2, "modulus": 2, "generators": [7]}},
+             "tau": {"type": "trivial"}, "sigma": {"type": "trivial"}},
+            id="matrix-generator-not-a-list",
+        ),
+        pytest.param(
+            {"groups": {"E": {"backend": "cayley", "table": [[0, 1], [1, "z"]]}, "G": PERM3},
+             "tau": {"type": "trivial"}, "sigma": {"type": "trivial"}},
+            id="cayley-entry-string",
+        ),
+        pytest.param(
+            {"groups": {"E": {"backend": "cayley", "table": [[0, 1], [1, 0.5]]}, "G": PERM3},
+             "tau": {"type": "trivial"}, "sigma": {"type": "trivial"}},
+            id="cayley-entry-float",
+        ),
+    ],
+)
+def test_parse_failures_exit_two_naming_the_config(tmp_path, capsys, payload):
+    cfg = write_config(tmp_path, "unparsable.json", payload)
+    code, _, err = run(capsys, "--config", str(cfg), "--command", "classes")
+    assert code == EXIT_CONFIG
+    assert err.startswith(f"config error: {cfg}")
+
+
+def test_max_order_refuses_witt_preset_before_building(tmp_path, capsys, monkeypatch):
+    def unreachable(config):
+        raise AssertionError("build_witt_zip ran despite --max-order")
+
+    monkeypatch.setattr("zipcalc.cli.build_witt_zip", unreachable)
+    cfg = write_config(tmp_path, "witt72.json", {"preset": {"kind": "witt", "p": 7, "n": 2}})
+    code, _, err = run(capsys, "--config", str(cfg), "--command", "classes", "--max-order", "100")
+    assert code == EXIT_RESOURCE
+    assert err == "resource limit: carrier of order 605052 exceeds --max-order 100\n"
+
+
 # -- command outputs ----------------------------------------------------------------
 
 

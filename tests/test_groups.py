@@ -120,8 +120,22 @@ def test_permutation_cycle_notation(s3):
     assert s3.format_element((1, 0, 2)) == "(0 1)"
     assert s3.format_element((1, 2, 0)) == "(0 1 2)"
     assert s3.parse_element("(0 1)(2)") == (1, 0, 2)
-    with pytest.raises(InputError):
-        s3.parse_element("(0 7)")
+    for text in ("(0 7)", "(0 x)", "(0 1) (2)", "((0 1))"):
+        with pytest.raises(InputError):
+            s3.parse_element(text)
+
+
+LITERAL_TEXT = st.one_of(st.text(), st.text(alphabet="()[], -0123x\t"))
+
+
+@given(LITERAL_TEXT)
+def test_parse_element_returns_member_or_input_error(s3, gl2f2, c2cube, text):
+    for group in (s3, gl2f2, c2cube):
+        try:
+            a = group.parse_element(text)
+        except InputError:
+            continue
+        assert a in group
 
 
 def test_restricted_group_shares_operations(s3):

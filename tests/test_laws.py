@@ -1,0 +1,182 @@
+"""The exact law certificates against brute-force oracles.
+
+Each construction-time check works over a greedy generating set; the
+oracles in `oracles.py` check every pair or triple.  The certificate must
+reject exactly when the oracle does.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import oracles
+from zipcalc import (
+    CayleyTableGroup,
+    Homomorphism,
+    InputError,
+    MatrixGroup,
+    PermutationGroup,
+    Subgroup,
+    closure,
+    hom_from_generator_images,
+    validate_group_laws,
+)
+
+
+def cyclic_table(n):
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+def xor_table(bits):
+    size = 1 << bits
+    return [[i ^ j for j in range(size)] for i in range(size)]
+
+
+def s3_table():
+    perms = sorted(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(a[i] for i in b)] for b in perms] for a in perms]
+
+
+# a Latin square with identity that is not associative
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+BASE_TABLES = [cyclic_table(4), cyclic_table(6), xor_table(2), xor_table(3), s3_table(), LOOP5]
+
+
+@pytest.fixture(scope="module")
+def groups(s3, s4, gl2f2):
+    return {
+        "s3": s3,
+        "s4": s4,
+        "gl2f2": gl2f2,
+        "z4": CayleyTableGroup(cyclic_table(4)),
+        "z6": CayleyTableGroup(cyclic_table(6)),
+        "c2c2": CayleyTableGroup(xor_table(2)),
+    }
+
+
+HOM_PAIRS = [
+    ("s3", "s3"),
+    ("s3", "gl2f2"),
+    ("gl2f2", "s3"),
+    ("s4", "s3"),
+    ("s4", "s4"),
+    ("z6", "s3"),
+    ("z4", "z4"),
+    ("c2c2", "gl2f2"),
+]
+
+
+def pick(data, seq):
+    return seq[data.draw(st.integers(0, len(seq) - 1))]
+
+
+@given(st.data())
+def test_hom_certificate_matches_oracle(groups, data):
+    source_name, target_name = pick(data, HOM_PAIRS)
+    E, G = groups[source_name], groups[target_name]
+    base = data.draw(st.sampled_from(["generator-images", "random", "trivial"]))
+    if base == "generator-images":
+        images = [pick(data, G.elements) for _ in E.generators]
+        try:
+            table = dict(hom_from_generator_images(E, G, E.generators, images).table)
+        except InputError:
+            table = {a: G.identity for a in E}
+    elif base == "random":
+        table = {a: pick(data, G.elements) for a in E}
+    else:
+        table = {a: G.identity for a in E}
+    for _ in range(data.draw(st.integers(0, 2))):
+        table[pick(data, E.elements)] = pick(data, G.elements)
+    expected = oracles.naive_is_homomorphism(E, G, table) and table[E.identity] == G.identity
+    if expected:
+        Homomorphism(E, G, table)
+    else:
+        with pytest.raises(InputError):
+            Homomorphism(E, G, table)
+
+
+def random_subset(data, group):
+    gens = [pick(data, group.elements) for _ in range(data.draw(st.integers(0, 2)))]
+    members = set(closure(group, gens).members)
+    for _ in range(data.draw(st.integers(0, 2))):
+        x = pick(data, group.elements)
+        if data.draw(st.booleans()):
+            members.add(x)
+        else:
+            members.discard(x)
+    return frozenset(members)
+
+
+@given(st.data())
+def test_subgroup_certificate_matches_oracle(groups, data):
+    group = groups[data.draw(st.sampled_from(["s3", "s4", "gl2f2", "z6"]))]
+    members = random_subset(data, group)
+    sub = Subgroup(group, members)
+    if oracles.naive_is_subgroup(group, members):
+        sub.validate()
+    else:
+        with pytest.raises(InputError):
+            sub.validate()
+
+
+@given(st.data())
+def test_carrier_certificate_matches_oracle(groups, data):
+    name = data.draw(st.sampled_from(["s3", "s4", "gl2f2"]))
+    members = random_subset(data, groups[name])
+    build = {
+        "s3": lambda: PermutationGroup(3, members),
+        "s4": lambda: PermutationGroup(4, members),
+        "gl2f2": lambda: MatrixGroup(2, 2, members),
+    }[name]
+    if oracles.naive_is_subgroup(groups[name], members):
+        validate_group_laws(build())
+    else:
+        with pytest.raises(InputError):
+            build()
+
+
+@given(st.data())
+def test_associativity_certificate_matches_oracle(data):
+    table = [list(row) for row in pick(data, BASE_TABLES)]
+    n = len(table)
+    for _ in range(data.draw(st.integers(0, 2))):
+        table[data.draw(st.integers(0, n - 1))][data.draw(st.integers(0, n - 1))] = data.draw(
+            st.integers(0, n - 1)
+        )
+    if oracles.naive_is_group_table(table):
+        validate_group_laws(CayleyTableGroup(table))
+        return
+    with pytest.raises(InputError):
+        CayleyTableGroup(table)
+    # with identity and inverses in place, the law battery alone must
+    # find the failure
+    try:
+        unchecked = CayleyTableGroup(table, check=False)
+    except InputError:
+        return
+    with pytest.raises(InputError):
+        validate_group_laws(unchecked)
+
+
+def test_loop_rejected_by_battery_and_constructor():
+    assert not oracles.naive_is_group_table(LOOP5)
+    with pytest.raises(InputError):
+        validate_group_laws(CayleyTableGroup(LOOP5, check=False))
+
+
+def test_generators_generate(groups):
+    for group in groups.values():
+        assert len(group.generators) <= group.order.bit_length()
+        assert oracles.naive_closure(group, group.generators) == group.element_set

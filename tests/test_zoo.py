@@ -41,6 +41,13 @@ def test_witt22_orders(witt22):
     assert x in z.G
 
 
+@pytest.mark.parametrize("p, n", [(2, 2), (2, 3), (3, 2)])
+def test_witt_closed_form_orders(p, n):
+    config = WittZipConfig(p, n)
+    z, _ = build_witt_zip(config)
+    assert (config.e_order, config.g_order) == (z.E.order, z.G.order)
+
+
 def test_witt_sigma_fixes_identity(witt22, witt23):
     for z, _ in (witt22, witt23):
         assert z.sigma(z.E.identity) == z.G.identity
