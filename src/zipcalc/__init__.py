@@ -18,9 +18,7 @@ from .groups import (
     full_subgroup,
     hom_from_generator_images,
     identity_hom,
-    image,
     inclusion_hom,
-    preimage,
     trivial_hom,
     trivial_subgroup,
     validate_group_laws,

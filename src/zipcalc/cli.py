@@ -22,6 +22,7 @@ from .groups import (
     InputError,
     MatrixGroup,
     PermutationGroup,
+    ResourceLimitExceeded,
     hom_from_generator_images,
     identity_hom,
     inclusion_hom,
@@ -41,10 +42,6 @@ EXIT_RESOURCE = 4
 
 class ConfigError(InputError):
     """A config file problem; the message names the failing config path."""
-
-
-class ResourceLimitExceeded(RuntimeError):
-    pass
 
 
 @dataclass
@@ -72,25 +69,37 @@ def _get(cfg: dict, where: str, key: str, kind=None, required=True, default=None
     return value
 
 
-def _build_group(spec, where: str) -> FiniteGroup:
+def _build_group(spec, where: str, max_order: int | None = None) -> FiniteGroup:
+    """Build a group spec.  With max_order, a closure or table with more
+    elements, or elements with more entries, is refused before it is built."""
     if not isinstance(spec, dict):
         _fail(where, "group spec must be an object")
     backend = _get(spec, where, "backend", str)
+
+    def check(count, what):
+        if max_order is not None and count > max_order:
+            raise ResourceLimitExceeded(f"{what} {count}")
+
     try:
         if backend == "permutation":
             degree = _get(spec, where, "degree", int)
             generators = _get(spec, where, "generators", list)
-            return PermutationGroup.from_generators(degree, generators)
+            check(degree, "element size")
+            return PermutationGroup.from_generators(degree, generators, max_order)
         if backend == "matrix":
             size = _get(spec, where, "size", int)
             modulus = _get(spec, where, "modulus", int)
             generators = _get(spec, where, "generators", list)
-            return MatrixGroup.from_generators(size, modulus, generators)
+            check(size * size, "element size")
+            return MatrixGroup.from_generators(size, modulus, generators, max_order)
         if backend == "cayley":
             table = _get(spec, where, "table", list)
+            check(len(table), "carrier order")
             return CayleyTableGroup(table)
     except ConfigError:
         raise
+    except ResourceLimitExceeded as exc:
+        raise ResourceLimitExceeded(f"{where}: {exc} exceeds --max-order {max_order}") from None
     except InputError as exc:
         _fail(where, str(exc))
     _fail(f"{where}.backend", f"unknown backend {backend!r}")
@@ -164,7 +173,8 @@ def _build_hom(spec, E: FiniteGroup, G: FiniteGroup, where: str) -> Homomorphism
 
 def load_job(config_path: Path, max_order: int | None = None) -> Job:
     """Parse a config into a job.  With max_order, a preset whose closed-form
-    carrier order exceeds it is refused before anything is enumerated."""
+    carrier order exceeds it, or a group spec whose closure would, is refused
+    before anything that large is enumerated."""
     where = str(config_path)
     try:
         text = config_path.read_text(encoding="utf-8")
@@ -220,8 +230,8 @@ def load_job(config_path: Path, max_order: int | None = None) -> Job:
     groups = _get(cfg, where, "groups", dict)
     if "E" not in groups or "G" not in groups:
         _fail(f"{where}.groups", "both E and G group specs are required")
-    E = _build_group(groups["E"], f"{where}.groups.E")
-    G = _build_group(groups["G"], f"{where}.groups.G")
+    E = _build_group(groups["E"], f"{where}.groups.E", max_order)
+    G = _build_group(groups["G"], f"{where}.groups.G", max_order)
     tau = _build_hom(_get(cfg, where, "tau", dict), E, G, f"{where}.tau")
     sigma = _build_hom(_get(cfg, where, "sigma", dict), E, G, f"{where}.sigma")
     try:

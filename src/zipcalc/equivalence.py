@@ -8,9 +8,14 @@ cross-checks: coarsening, the one-step refinement bijection, the fiber/orbit
 structure of the class map (a torsor check), and the groupoid equivalence
 between refined twists by elements of one double coset.
 
-Every enumeration factors through the distinct (tau(e), sigma(e)) pairs where
-only those values matter; the reduction is exact because pair fibers are the
-cosets of ker tau ∩ ker sigma.
+The action factors through the pair group P = {(tau(e), sigma(e))} <= G x G
+of the datum (see zipdata): e.g = a * g * b^-1 for the pair (a, b) of e, and
+E -> P is onto with kernel K = ker tau ∩ ker sigma.  So classes are expanded
+over generators of P, the torsor check runs on P x G_inf^x under the
+stationary pair group, with fibers of size |P_inf^x| instead of |E_inf^x|,
+and the groupoid check compares pair-stabilizer counts, both sides sharing
+the root's K.  Elements of E appear only in the member witnesses of a class
+and where a check is stated on them.
 """
 
 from __future__ import annotations
@@ -98,70 +103,49 @@ def _expand(z: ZipDatum, seeds: dict) -> dict:
     return members
 
 
-def fine_orbits(z: ZipDatum) -> ClassReport:
-    """Orbits of e.g = tau(e) * g * sigma(e)^-1 on the carrier of G."""
+def _coarse_seeds(z: ZipDatum, x, ginf: Subgroup) -> dict:
+    """g * x -> (1, g) for g in G_inf^x, keeping the key-minimal g per member."""
+    seeds = {}
+    for g in ginf:
+        seeds.setdefault(z.G.mul(g, x), (z.E.identity, g))
+    return seeds
+
+
+def _partition(z: ZipDatum, relation: str, class_data) -> ClassReport:
+    """Expand the class of each key-minimal unclassified witness x in turn;
+    class_data(x) gives its seeds and stationary subgroups (or None).  The
+    partition property is asserted, not assumed."""
     classified = {}
     classes = []
     for x in z.G.elements:
         if x in classified:
             continue
-        members = _expand(z, {x: (z.E.identity, z.G.identity)})
+        seeds, einf, ginf = class_data(x)
+        members = _expand(z, seeds)
+        if not classified.keys().isdisjoint(members):
+            raise InvariantViolation(f"{relation} classes failed to form a partition")
         for y in members:
             classified[y] = x
-        classes.append(
-            ZipClass(
-                witness=x,
-                members=frozenset(members),
-                e_infinity=None,
-                g_infinity=None,
-                member_witness=members,
-            )
-        )
+        classes.append(ZipClass(x, frozenset(members), einf, ginf, members))
     if len(classified) != z.G.order:
-        raise InvariantViolation("fine orbits failed to cover the carrier")
-    return ClassReport(z, "fine-orbit", tuple(classes))
+        raise InvariantViolation(f"{relation} classes failed to cover the carrier")
+    return ClassReport(z, relation, tuple(classes))
+
+
+def fine_orbits(z: ZipDatum) -> ClassReport:
+    """Orbits of e.g = tau(e) * g * sigma(e)^-1 on the carrier of G."""
+    return _partition(z, "fine-orbit", lambda x: ({x: (z.E.identity, z.G.identity)}, None, None))
 
 
 def zip_classes(z: ZipDatum) -> ClassReport:
-    """The coarse partition of G, one stationary-refinement run per witness.
+    """The coarse partition of G, one stationary-refinement run per witness:
+    the class of x is { tau(e) * g * x * sigma(e)^-1 : e in E, g in G_inf^x }."""
 
-    Witnesses are the key-minimal unclassified elements; the class of x is
-    { tau(e) * g * x * sigma(e)^-1 : e in E, g in G_inf^x }.  The partition
-    property (the relation's symmetry and transitivity) is asserted, not
-    assumed.
-    """
-    G = z.G
-    classified = {}
-    classes = []
-    for x in G.elements:
-        if x in classified:
-            continue
+    def coarse(x):
         trace = refine_to_stationary(twist(z, x))
-        einf, ginf = trace.e_infinity, trace.g_infinity
-        seeds = {}
-        for g in ginf:
-            y = G.mul(g, x)
-            seeds.setdefault(y, (z.E.identity, g))
-        members = _expand(z, seeds)
-        overlap = frozenset(members) & frozenset(classified)
-        if overlap:
-            raise InvariantViolation(
-                "coarse equivalence classes failed to form a partition"
-            )
-        for y in members:
-            classified[y] = x
-        classes.append(
-            ZipClass(
-                witness=x,
-                members=frozenset(members),
-                e_infinity=einf,
-                g_infinity=ginf,
-                member_witness=members,
-            )
-        )
-    if len(classified) != G.order:
-        raise InvariantViolation("coarse classes failed to cover the carrier")
-    return ClassReport(z, "zip-coarse", tuple(classes))
+        return _coarse_seeds(z, x, trace.g_infinity), trace.e_infinity, trace.g_infinity
+
+    return _partition(z, "zip-coarse", coarse)
 
 
 def member_stationary_subgroups(report: ClassReport, y) -> tuple:
@@ -204,7 +188,7 @@ def refinement_bijection_check(z: ZipDatum, x, *, coarse: ClassReport | None = N
     z1x = refine(twist(z, x))
     sub = zip_classes(z1x)
     carrier_x = frozenset(G.mul(g, x) for g in z1x.G.elements)
-    coset = double_coset_of(G, z.tau.image(), z.sigma.image(), x)
+    coset = double_coset_of(G, z.tau_image, z.sigma_image, x)
     expected_targets = {c.witness for c in coarse.classes if c.members & coset}
     seen_targets = set()
     for c in sub.classes:
@@ -220,69 +204,56 @@ def refinement_bijection_check(z: ZipDatum, x, *, coarse: ClassReport | None = N
 
 
 def torsor_check(z: ZipDatum, x, *, report: ClassReport | None = None) -> bool:
-    """Check that E x G_inf^x -> class(x), (e, g) -> tau(e)*g*x*sigma(e)^-1 is
-    onto the class and that every fiber is one free orbit of E_inf^x acting by
-    eps.(e, g) = (e*eps^-1, tau(eps)*g*(x-twisted sigma)(eps)^-1).
+    """Check that P x G_inf^x -> class(x), ((a, b), g) -> a*g*x*b^-1, is onto
+    the class and that every fiber is one free orbit of the stationary pair
+    group P_inf^x acting by (u, w).((a, b), g) = ((a*u^-1, b*v^-1), u*g*w^-1),
+    where (u, v) and (u, w) are one element's pairs in z and its x-twist.
 
-    The whole computation runs on the quotient by K = ker tau ∩ ker sigma:
-    K is contained in E_inf^x, acts freely within every fiber and every
-    orbit, and is invisible to the map, so fibers and orbits on the full
-    domain are exactly the K-saturations of their reduced counterparts.
+    This is the class map on E x G_inf^x, where eps acts by
+    (e*eps^-1, tau(eps)*g*(x-twisted sigma)(eps)^-1), divided by
+    K = ker tau ∩ ker sigma: E -> P is onto with kernel K and K lies in
+    E_inf^x, so fibers and orbits upstairs are the K-saturations of those
+    here, and the fiber size |E_inf^x| becomes |P_inf^x|.
     """
-    G, E = z.G, z.E
+    G = z.G
     if x not in G:
         raise InputError("element outside the carrier of G")
-    zx = twist(z, x)
-    trace = refine_to_stationary(zx)
-    einf = trace.e_infinity.members
-    ginf_sorted = trace.g_infinity.elements
-
-    kernel = z.pair_kernel.members
-    if not kernel <= einf:
-        return False
-    transversal_rep = z.kernel_transversal
-    reps = sorted(set(transversal_rep.values()))
-    k_order = len(kernel)
-    if len(einf) % k_order:
-        return False
-    reduced_fiber_size = len(einf) // k_order
+    trace = refine_to_stationary(twist(z, x))
+    ginf = trace.g_infinity.elements
 
     if report is not None:
         class_members = report.class_of(x).members
     else:
-        seeds = {}
-        for g in ginf_sorted:
-            seeds.setdefault(G.mul(g, x), (E.identity, g))
-        class_members = frozenset(_expand(z, seeds))
+        class_members = frozenset(_expand(z, _coarse_seeds(z, x, trace.g_infinity)))
 
-    gx = {g: G.mul(g, x) for g in ginf_sorted}
+    pairs = [(a, b) for a, b, _ in z.action_pairs]
+    index = {p: i for i, p in enumerate(pairs)}
+    gx = [(g, G.mul(g, x)) for g in ginf]
     fibers = {}
-    for t in reps:
-        a = z.tau(t)
-        binv = G.inv(z.sigma(t))
-        for g in ginf_sorted:
-            val = G.mul(G.mul(a, gx[g]), binv)
-            fibers.setdefault(val, []).append((t, g))
+    for i, (a, b) in enumerate(pairs):
+        binv = G.inv(b)
+        for g, g_x in gx:
+            fibers.setdefault(G.mul(G.mul(a, g_x), binv), []).append((i, g))
 
     if frozenset(fibers) != class_members:
         return False
-    if any(len(f) != reduced_fiber_size for f in fibers.values()):
+    stationary_pairs = trace.stationary_datum.action_pairs
+    size = len(stationary_pairs)
+    if any(len(f) != size for f in fibers.values()):
         return False
 
-    # one acting element per K-coset of E_inf^x; K itself acts trivially here
-    eps_reps = sorted({transversal_rep[eps] for eps in einf})
-    eps_data = []
-    for eps in eps_reps:
-        eps_data.append((E.inv(eps), z.tau(eps), G.inv(zx.sigma(eps))))
-
+    acting = []
+    for u, w, eps in stationary_pairs:
+        v = z.pair_of(eps)[1]
+        acting.append((G.inv(u), G.inv(v), u, G.inv(w)))
+    moved = {}  # pair index -> indices of its products with the acting pair inverses
     for fiber in fibers.values():
-        t0, g0 = min(fiber)
-        orbit = set()
-        for eps_inv, u, winv in eps_data:
-            t1 = transversal_rep[E.mul(t0, eps_inv)]
-            g1 = G.mul(G.mul(u, g0), winv)
-            orbit.add((t1, g1))
-        if len(orbit) != reduced_fiber_size or orbit != set(fiber):
+        i0, g0 = fiber[0]
+        if i0 not in moved:
+            a0, b0 = pairs[i0]
+            moved[i0] = [index[G.mul(a0, uinv), G.mul(b0, vinv)] for uinv, vinv, _, _ in acting]
+        orbit = set(zip(moved[i0], (G.mul(G.mul(u, g0), winv) for _, _, u, winv in acting)))
+        if len(orbit) != size or orbit != set(fiber):
             return False
     return True
 
@@ -294,9 +265,10 @@ def groupoid_equivalence_check(z: ZipDatum, x, y, e, e_tilde) -> bool:
     The map sends eps -> e~^-1 * eps * e~ on the E side and
     g -> tau(e~)^-1 * g * x * sigma(e~) * y^-1 on the carrier side; the check
     verifies both are bijections onto the y-side components, that the map is
-    equivariant for the two actions (once per (tau, sigma)-pair class of eps,
-    which is exact), that orbits map bijectively onto orbits, and that every
-    stabilizer maps bijectively onto the stabilizer of the image.
+    equivariant for the two actions (once per pair, which is exact), that
+    orbits map bijectively onto orbits, and that every stabilizer maps
+    bijectively onto the stabilizer of the image.  Both sides have the same
+    root, so the same K, and stabilizers compare as pair counts.
     """
     G, E = z.G, z.E
     for el, group, what in ((x, G, "x"), (y, G, "y")):
@@ -320,19 +292,15 @@ def groupoid_equivalence_check(z: ZipDatum, x, y, e, e_tilde) -> bool:
         return False
     if frozenset(psi_g.values()) != zy1.G.element_set:
         return False
+    # psi_e on one witness per pair of zx1, as a map of pairs
+    psi_pair = {(a, b): zy1.pair_of(psi_e[w]) for a, b, w in zx1.action_pairs}
 
-    def act_x(eps, g):
-        return G.mul(G.mul(zx1.tau(eps), g), G.inv(zx1.sigma(eps)))
+    def act(pair, g):
+        return G.mul(G.mul(pair[0], g), G.inv(pair[1]))
 
-    def act_y(eps, g):
-        return G.mul(G.mul(zy1.tau(eps), g), G.inv(zy1.sigma(eps)))
-
-    # one eps per (tau, x-twisted sigma)-pair class; the map respects classes
-    pair_reps = [w for _, _, w in zx1.action_pairs]
-    for eps in pair_reps:
-        peps = psi_e[eps]
+    for p, q in psi_pair.items():
         for g in zx1.G:
-            if psi_g[act_x(eps, g)] != act_y(peps, psi_g[g]):
+            if psi_g[act(p, g)] != act(q, psi_g[g]):
                 return False
 
     ox = fine_orbits(zx1)
@@ -346,17 +314,12 @@ def groupoid_equivalence_check(z: ZipDatum, x, y, e, e_tilde) -> bool:
     if len(image_witnesses) != oy.class_count:
         return False
 
-    # stabilizers: counted via pair classes, injectivity is conjugation
-    k_x = len(zx1.pair_kernel)
-    k_y = len(zy1.pair_kernel)
+    y_pairs = [(a, b) for a, b, _ in zy1.action_pairs]
     for g in zx1.G:
         pg = psi_g[g]
-        stab_g = [eps for eps in pair_reps if act_x(eps, g) == g]
-        stab_pg_size = k_y * sum(
-            1 for _, _, w in zy1.action_pairs if act_y(w, pg) == pg
-        )
-        if k_x * len(stab_g) != stab_pg_size:
+        stab_g = [p for p in psi_pair if act(p, g) == g]
+        if len(stab_g) != sum(1 for q in y_pairs if act(q, pg) == pg):
             return False
-        if any(act_y(psi_e[eps], pg) != pg for eps in stab_g):
+        if any(act(psi_pair[p], pg) != pg for p in stab_g):
             return False
     return True

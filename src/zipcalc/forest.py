@@ -113,7 +113,7 @@ def build_forest(z: ZipDatum) -> RepForest:
     """
     G = z.G
     cache: dict = {}
-    root_dec = double_cosets(G, z.tau.image(), z.sigma.image())
+    root_dec = double_cosets(G, z.tau_image, z.sigma_image)
     roots = []
     for coset in root_dec.cosets:
         rep = coset.representative
@@ -130,7 +130,7 @@ def build_forest(z: ZipDatum) -> RepForest:
                     ForestNode(G.identity, node, node.generation + 1, node.accumulated, d, True)
                 )
             else:
-                dec = double_cosets(node.datum.G, node.datum.tau.image(), node.datum.sigma.image())
+                dec = double_cosets(node.datum.G, node.datum.tau_image, node.datum.sigma_image)
                 node.decomposition = dec
                 for coset in dec.cosets:
                     rep = coset.representative
@@ -153,16 +153,18 @@ def build_forest(z: ZipDatum) -> RepForest:
     return RepForest(z, tuple(generations), root_dec, tuple(flags))
 
 
-def _double_coset_witness(datum: ZipDatum, x, rep):
-    """Find (e, et) with x = tau(e) * rep * sigma(et), scanning the tau-image
-    in key order so the choice is deterministic."""
+def _transport(datum: ZipDatum, x, rep):
+    """tau(et * e) for witnesses x = tau(e) * rep * sigma(et), read off the
+    pair table: tau(e) = a runs over the tau-image in key order and et is
+    the key-minimal element of E with sigma(et) = rep^-1 * a^-1 * x, so the
+    choice is deterministic."""
     G = datum.G
-    sigma_image = datum.sigma.image().members
+    by_sigma = datum.sigma_witnesses
     rep_inv = G.inv(rep)
-    for a in datum.tau.image().elements:
-        b = G.mul(G.mul(rep_inv, G.inv(a)), x)
-        if b in sigma_image:
-            return datum.tau.preimage_rep(a), datum.sigma.preimage_rep(b)
+    for a in datum.tau_image.elements:
+        entry = by_sigma.get(G.mul(G.mul(rep_inv, G.inv(a)), x))
+        if entry is not None:
+            return G.mul(entry[0], a)
     raise InvariantViolation("element escaped its own double coset")
 
 
@@ -177,8 +179,7 @@ def classify(forest: RepForest, x) -> ClassificationPath:
     r = forest.root_decomposition.rep_of[x]
     entries = [r]
     node = forest.root(r)
-    e, et = _double_coset_witness(z, x, r)
-    current = z.tau(z.E.mul(et, e))
+    current = _transport(z, x, r)
     for _ in range(forest.stationary_generation):
         if node.stable:
             entries.append(G.identity)
@@ -187,8 +188,7 @@ def classify(forest: RepForest, x) -> ClassificationPath:
         d = node.datum
         r = node.decomposition.rep_of[current]
         entries.append(r)
-        e, et = _double_coset_witness(d, current, r)
-        current = d.tau(d.E.mul(et, e))
+        current = _transport(d, current, r)
         node = node.child(r)
     return ClassificationPath(tuple(entries), G)
 

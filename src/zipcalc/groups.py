@@ -17,6 +17,7 @@ import operator
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd
 
 # Element values are ints (Cayley indices) or int tuples (permutation images,
 # row-major matrix entries); the value itself is the canonical sort key.
@@ -31,6 +32,10 @@ class InvariantViolation(RuntimeError):
     """An internal structural guarantee failed; this signals a bug."""
 
 
+class ResourceLimitExceeded(RuntimeError):
+    """A carrier would grow past the caller's order limit."""
+
+
 def _int_tuple(values, what: str) -> tuple:
     """values as a tuple of ints; anything else is an InputError."""
     try:
@@ -39,7 +44,7 @@ def _int_tuple(values, what: str) -> tuple:
         raise InputError(f"{what} must be a list of integers, got {values!r}") from None
 
 
-def _mulclose(mul, identity, candidates, carrier=None):
+def _mulclose(mul, identity, candidates, carrier=None, limit=None):
     """Closure of {identity} under right multiplication by candidates.
 
     Candidates are taken in order and one already inside the closure so far
@@ -47,7 +52,9 @@ def _mulclose(mul, identity, candidates, carrier=None):
     key-minimal when the candidates come in key order.  In a finite group
     the submonoid generated this way is the subgroup.  Adding x to the
     closure H grows <H, x> one right coset H*y at a time.  With a carrier,
-    the first product outside it raises InputError.
+    the first product outside it raises InputError; with a limit, a coset
+    that would take the closure past it raises ResourceLimitExceeded before
+    it is computed.
 
     Returns (closure, generators).
     """
@@ -64,6 +71,8 @@ def _mulclose(mul, identity, candidates, carrier=None):
                 y = mul(r, g)
                 if y in members:
                     continue
+                if limit is not None and len(members) + len(old) > limit:
+                    raise ResourceLimitExceeded(f"carrier order above {limit}")
                 coset = [mul(h, y) for h in old]
                 if carrier is not None and not carrier.issuperset(coset):
                     raise InputError("carrier is not closed under multiplication")
@@ -286,17 +295,17 @@ class PermutationGroup(FiniteGroup):
         return elem
 
     @classmethod
-    def from_generators(cls, degree, generators):
+    def from_generators(cls, degree, generators, max_order=None):
         degree = int(degree)
         gens = []
         for g in generators:
             g = _int_tuple(g, "permutation generator")
-            if sorted(g) != list(range(degree)):
+            if len(g) != degree or sorted(g) != list(range(degree)):
                 raise InputError(f"{g} is not a permutation of 0..{degree - 1}")
             gens.append(g)
         identity = tuple(range(degree))
         mul = lambda a, b: tuple(a[i] for i in b)
-        return cls(degree, _mulclose(mul, identity, gens)[0])
+        return cls(degree, _mulclose(mul, identity, gens, limit=max_order)[0])
 
     @classmethod
     def symmetric(cls, degree):
@@ -312,6 +321,8 @@ class PermutationGroup(FiniteGroup):
 
 def _int_det(rows):
     n = len(rows)
+    if n == 0:
+        return 1
     if n == 1:
         return rows[0][0]
     if n == 2:
@@ -403,21 +414,19 @@ class MatrixGroup(FiniteGroup):
         return entries
 
     @classmethod
-    def from_generators(cls, size, modulus, generators):
+    def from_generators(cls, size, modulus, generators, max_order=None):
         size, modulus = int(size), int(modulus)
+        probe = cls(size, modulus, [tuple(1 if i == j else 0 for i in range(size) for j in range(size))], check=False)
         gens = []
         for g in generators:
             g = tuple(v % modulus for v in _int_tuple(g, "matrix generator"))
             if len(g) != size * size:
                 raise InputError(f"generator {g} needs {size * size} entries")
             gens.append(g)
-        probe = cls(size, modulus, [tuple(1 if i == j else 0 for i in range(size) for j in range(size))], check=False)
-        from math import gcd
-
         for g in gens:
             if gcd(probe.det(g), modulus) != 1:
                 raise InputError(f"generator {probe.format_element(g)} is not invertible mod {modulus}")
-        return cls(size, modulus, _mulclose(probe.mul, probe.identity, gens)[0])
+        return cls(size, modulus, _mulclose(probe.mul, probe.identity, gens, limit=max_order)[0])
 
     @classmethod
     def general_linear(cls, size, modulus):
@@ -425,8 +434,6 @@ class MatrixGroup(FiniteGroup):
         size, modulus = int(size), int(modulus)
         if modulus ** (size * size) > 5_000_000:
             raise InputError("general linear carrier too large to enumerate")
-        from math import gcd
-
         carrier = []
         for entries in itertools.product(range(modulus), repeat=size * size):
             rows = [list(entries[i * size : (i + 1) * size]) for i in range(size)]
@@ -660,14 +667,10 @@ class Homomorphism:
                     f"{src.format_element(s)})"
                 )
 
-    @cached_property
-    def _full_image(self) -> Subgroup:
-        return Subgroup(self.target, frozenset(self.table.values()))
-
     def image(self, sub: Subgroup | None = None) -> Subgroup:
         """Image of a subgroup of the source (the whole source by default)."""
         if sub is None:
-            return self._full_image
+            return Subgroup(self.target, frozenset(self.table.values()))
         if sub.ambient.space() != self.source.space() or not sub.members <= self.source.element_set:
             raise InputError("image argument is not a subgroup of the source")
         return Subgroup(self.target, frozenset(self.table[e] for e in sub.members))
@@ -678,31 +681,6 @@ class Homomorphism:
             raise InputError("preimage argument is not a subgroup of the target")
         want = sub.members
         return Subgroup(self.source, frozenset(e for e in self.source.elements if self.table[e] in want))
-
-    @cached_property
-    def kernel(self) -> Subgroup:
-        return self.preimage(trivial_subgroup(self.target))
-
-    @cached_property
-    def _preimage_rep(self) -> dict:
-        rep = {}
-        for e in self.source.elements:
-            rep.setdefault(self.table[e], e)
-        return rep
-
-    def preimage_rep(self, t):
-        """The key-minimal source element mapping onto t."""
-        try:
-            return self._preimage_rep[t]
-        except KeyError:
-            raise InputError("element has no preimage under this map") from None
-
-    def restrict(self, new_source: FiniteGroup, new_target: FiniteGroup) -> "Homomorphism":
-        """Re-materialize on a smaller source, targeting a smaller group."""
-        if not new_source.element_set <= self.source.element_set:
-            raise InputError("restricted source is not contained in the original source")
-        table = {e: self.table[e] for e in new_source.elements}
-        return Homomorphism(new_source, new_target, table)
 
 
 def identity_hom(group: FiniteGroup) -> Homomorphism:
@@ -756,14 +734,6 @@ def hom_from_generator_images(source: FiniteGroup, target: FiniteGroup, generato
     if len(table) != source.order:
         raise InputError("generators do not generate the source group")
     return Homomorphism(source, target, table)
-
-
-def image(h: Homomorphism, sub: Subgroup) -> Subgroup:
-    return h.image(sub)
-
-
-def preimage(h: Homomorphism, sub: Subgroup) -> Subgroup:
-    return h.preimage(sub)
 
 
 # ---------------------------------------------------------------------------

@@ -62,54 +62,42 @@ def class_report_document(name: str, report: ClassReport) -> dict:
     }
 
 
-def trace_document(name: str, z: ZipDatum, trace: RefinementTrace) -> dict:
-    stages = []
-    for i, (e_i, g_i) in enumerate(trace.stages):
-        stages.append(
-            {
-                "index": i,
-                "e_order": e_i.order,
-                "e_digest": members_digest(z.E, e_i.members),
-                "g_order": g_i.order,
-                "g_digest": members_digest(z.G, g_i.members),
-            }
-        )
+def _subgroup_entry(group, sub, with_members: bool) -> dict:
+    entry = {"order": sub.order, "digest": members_digest(group, sub.members)}
+    if with_members:
+        entry["members"] = [group.format_element(m) for m in sub.elements]
+    return entry
+
+
+def _stationary_document(kind: str, name: str, z: ZipDatum, trace: RefinementTrace, with_members: bool,
+                         **fields) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
-        "kind": "refinement-trace",
+        "kind": kind,
         "datum": _datum_descriptor(name, z),
         "stationary_index": trace.stationary_index,
-        "stages": stages,
-        "e_infinity": {
-            "order": trace.e_infinity.order,
-            "digest": members_digest(z.E, trace.e_infinity.members),
-        },
-        "g_infinity": {
-            "order": trace.g_infinity.order,
-            "digest": members_digest(z.G, trace.g_infinity.members),
-        },
+        "e_infinity": _subgroup_entry(z.E, trace.e_infinity, with_members),
+        "g_infinity": _subgroup_entry(z.G, trace.g_infinity, with_members),
+        **fields,
     }
+
+
+def trace_document(name: str, z: ZipDatum, trace: RefinementTrace) -> dict:
+    stages = [
+        {
+            "index": i,
+            "e_order": e_i.order,
+            "e_digest": members_digest(z.E, e_i.members),
+            "g_order": g_i.order,
+            "g_digest": members_digest(z.G, g_i.members),
+        }
+        for i, (e_i, g_i) in enumerate(trace.stages)
+    ]
+    return _stationary_document("refinement-trace", name, z, trace, False, stages=stages)
 
 
 def infinity_document(name: str, z: ZipDatum, trace: RefinementTrace) -> dict:
-    e_fmt = z.E.format_element
-    g_fmt = z.G.format_element
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "stationary-subgroups",
-        "datum": _datum_descriptor(name, z),
-        "stationary_index": trace.stationary_index,
-        "e_infinity": {
-            "order": trace.e_infinity.order,
-            "digest": members_digest(z.E, trace.e_infinity.members),
-            "members": [e_fmt(m) for m in trace.e_infinity.elements],
-        },
-        "g_infinity": {
-            "order": trace.g_infinity.order,
-            "digest": members_digest(z.G, trace.g_infinity.members),
-            "members": [g_fmt(m) for m in trace.g_infinity.elements],
-        },
-    }
+    return _stationary_document("stationary-subgroups", name, z, trace, True)
 
 
 def forest_document(name: str, forest: RepForest) -> dict:

@@ -58,7 +58,7 @@ def run_verification(z: ZipDatum, *, seed: int = 0, samples: int = 2) -> list:
     )
 
     carrier = z.G.elements
-    tau_image = z.tau.image().elements
+    tau_image = z.tau_image.elements
     ok = True
     for _ in range(samples):
         x = carrier[rng.randrange(len(carrier))]
@@ -85,7 +85,7 @@ def run_verification(z: ZipDatum, *, seed: int = 0, samples: int = 2) -> list:
         )
     )
 
-    decomposition = double_cosets(z.G, z.tau.image(), z.sigma.image())
+    decomposition = double_cosets(z.G, z.tau_image, z.sigma_image)
     roots = decomposition.representatives()
     results.append(
         CheckResult(

@@ -1,11 +1,21 @@
-"""Zip data over finite groups: twisting, refinement, and the stationary
-subgroups the refinement chain converges to.
+"""Zip data over finite groups, computed on their pair groups.
 
-A zip datum is a pair of homomorphisms tau, sigma : E -> G.  Refinement
-replaces it by (sigma^-1(tau(E)), tau(E), tau, sigma); twisting by x in G
-conjugates sigma.  Over finite carriers the refinement chain is decreasing
-and becomes stationary; the stationary E is the largest subgroup on which
-sigma maps into the tau-image, and its tau-image is the stationary G.
+A zip datum is a pair of homomorphisms tau, sigma : E -> G.  Everything here
+sees e in E only through its pair (tau(e), sigma(e)).  The pairs form the zip
+group P <= G x G of Pink, Wedhorn and Ziegler, and E -> P is onto with kernel
+K = ker tau ∩ ker sigma, so the fiber of each pair is a coset of K.
+
+A datum built from tables (a root) sorts E into these fibers once.  Twisting
+by x in G conjugates the second coordinate of every pair.  Refinement replaces
+G by G_1 = pr1(P) and keeps the pairs whose second coordinate lies in G_1;
+this is (sigma^-1(tau(E)), tau(E), tau, sigma).  Neither creates fibers: a
+derived datum maps each root pair it keeps to its own pair, and its E is the
+union of the kept root fibers.  The E-level attributes E, tau and sigma of a
+derived datum are built, and checked, on first use.
+
+Over finite carriers the refinement chain is decreasing and becomes
+stationary; the stationary E is the largest subgroup on which sigma maps into
+the tau-image, and its tau-image is the stationary G.
 """
 
 from __future__ import annotations
@@ -26,8 +36,8 @@ from .groups import (
 class ZipDatum:
     """(E, G, tau, sigma) with tau, sigma : E -> G sharing source and target.
 
-    Instances are immutable; the cached pair/kernel machinery below is shared
-    by every enumeration that only sees e through (tau(e), sigma(e)).
+    The core is ``_pairs``: each pair of the root datum mapped to this
+    datum's pair over the same fiber of E.  Instances are immutable.
     """
 
     def __init__(self, E: FiniteGroup, G: FiniteGroup, tau: Homomorphism, sigma: Homomorphism):
@@ -39,17 +49,71 @@ class ZipDatum:
         self.G = G
         self.tau = tau
         self.sigma = sigma
+        self._root = self
+
+    @classmethod
+    def _derive(cls, parent: "ZipDatum", G: FiniteGroup, pairs: dict) -> "ZipDatum":
+        d = object.__new__(cls)
+        d.G = G
+        d._root = parent._root
+        d._parent = parent
+        d._pairs = pairs
+        return d
 
     def __repr__(self):
         return f"<ZipDatum |E|={self.E.order} |G|={self.G.order}>"
 
+    # -- the pair core ----------------------------------------------------------
+
+    @cached_property
+    def _fibers(self) -> dict:
+        """Root pair -> its fiber in E, in key order; built on the root only."""
+        tau, sigma = self.tau.table, self.sigma.table
+        fibers = {}
+        for e in self.E.elements:
+            fibers.setdefault((tau[e], sigma[e]), []).append(e)
+        return fibers
+
+    @cached_property
+    def _pairs(self) -> dict:
+        return {p: p for p in self._fibers}
+
+    @cached_property
+    def _e_members(self) -> frozenset:
+        fibers = self._root._fibers
+        return frozenset(e for r in self._pairs for e in fibers[r])
+
+    def pair_of(self, e):
+        """(tau(e), sigma(e)) read off the pair table; None for e outside E."""
+        root = self._root
+        if e not in root.E:
+            return None
+        return self._pairs.get((root.tau.table[e], root.sigma.table[e]))
+
+    @cached_property
+    def tau_image(self) -> Subgroup:
+        """pr1(P) = tau(E), as a subgroup of G."""
+        return Subgroup(self.G, frozenset(a for a, _ in self._pairs.values()))
+
+    @cached_property
+    def sigma_image(self) -> Subgroup:
+        """pr2(P) = sigma(E), as a subgroup of G."""
+        return Subgroup(self.G, frozenset(b for _, b in self._pairs.values()))
+
     @cached_property
     def action_pairs(self) -> tuple:
         """Distinct (tau(e), sigma(e)) pairs, each with its key-minimal witness."""
-        witness = {}
-        for e in self.E:
-            witness.setdefault((self.tau(e), self.sigma(e)), e)
-        return tuple((a, b, w) for (a, b), w in sorted(witness.items()))
+        fibers = self._root._fibers
+        return tuple(sorted((a, b, fibers[r][0]) for r, (a, b) in self._pairs.items()))
+
+    @cached_property
+    def sigma_witnesses(self) -> dict:
+        """b -> the entry (a, b, w) of action_pairs whose witness w is the
+        key-minimal element of E with sigma(w) = b."""
+        out = {}
+        for entry in sorted(self.action_pairs, key=lambda t: t[2]):
+            out.setdefault(entry[1], entry)
+        return out
 
     @cached_property
     def action_generators(self) -> tuple:
@@ -69,25 +133,29 @@ class ZipDatum:
         gens = _mulclose(pair_mul, ident, sorted(pairs))[1]
         return tuple((a, G.inv(b), witness[(a, b)]) for a, b in gens)
 
-    @cached_property
-    def pair_kernel(self) -> Subgroup:
-        """ker tau ∩ ker sigma; elements of E invisible to the action."""
-        e1 = self.G.identity
-        return Subgroup(
-            self.E,
-            frozenset(e for e in self.E if self.tau(e) == e1 and self.sigma(e) == e1),
-        )
+    # -- E-level attributes of a derived datum, built on first use --------------
 
     @cached_property
-    def kernel_transversal(self) -> dict:
-        """Map e -> key-minimal representative of the coset e * pair_kernel."""
-        ker = self.pair_kernel.elements
-        rep = {}
-        for e in self.E:
-            if e not in rep:
-                for k in ker:
-                    rep[self.E.mul(e, k)] = e
-        return rep
+    def E(self) -> FiniteGroup:
+        if len(self._pairs) == len(self._parent._pairs):
+            return self._parent.E
+        return Subgroup(self._root.E, self._e_members).as_group()
+
+    @cached_property
+    def tau(self) -> Homomorphism:
+        parent = self._parent
+        if self.E is parent.E and self.G is parent.G:
+            return parent.tau  # same fibers, same first coordinates
+        return self._hom(0)
+
+    @cached_property
+    def sigma(self) -> Homomorphism:
+        return self._hom(1)
+
+    def _hom(self, side: int) -> Homomorphism:
+        fibers = self._root._fibers
+        table = {e: p[side] for r, p in self._pairs.items() for e in fibers[r]}
+        return Homomorphism(self.E, self.G, table)
 
 
 def same_zip_datum(a: ZipDatum, b: ZipDatum) -> bool:
@@ -103,83 +171,85 @@ def same_zip_datum(a: ZipDatum, b: ZipDatum) -> bool:
 
 
 def twist(z: ZipDatum, x) -> ZipDatum:
-    """Replace sigma by e -> x * sigma(e) * x^-1 for x in G."""
+    """Replace sigma by e -> x * sigma(e) * x^-1 for x in G: one conjugation
+    per value of sigma, applied to the second coordinate of every pair."""
     if x not in z.G:
         raise InputError("twist element outside G")
     G = z.G
     xinv = G.inv(x)
-    table = {e: G.mul(G.mul(x, z.sigma(e)), xinv) for e in z.E}
-    return ZipDatum(z.E, z.G, z.tau, Homomorphism(z.E, z.G, table))
+    conj = {b: G.mul(G.mul(x, b), xinv) for b in z.sigma_image.members}
+    return ZipDatum._derive(z, G, {r: (a, conj[b]) for r, (a, b) in z._pairs.items()})
 
 
 def refine(z: ZipDatum) -> ZipDatum:
-    """One refinement step: (sigma^-1(tau(E)), tau(E), tau, sigma).
-
-    The restricted maps are re-materialized on the smaller carriers, which
-    re-checks that both images land in the new G.
-    """
-    g1 = z.tau.image()
-    e1 = z.sigma.preimage(g1)
-    E1 = e1.as_group()
-    G1 = g1.as_group()
-    tau1 = z.tau.restrict(E1, G1)
-    sigma1 = z.sigma.restrict(E1, G1)
-    return ZipDatum(E1, G1, tau1, sigma1)
+    """One refinement step: G_1 = pr1(P), P_1 = {(a, b) in P : b in G_1}."""
+    G1 = z.tau_image.as_group()
+    g1 = G1.element_set
+    return ZipDatum._derive(z, G1, {r: p for r, p in z._pairs.items() if p[1] in g1})
 
 
 def is_tau_surjective(z: ZipDatum) -> bool:
-    return z.tau.image().members == z.G.element_set
+    return z.tau_image.members == z.G.element_set
 
 
 @dataclass(frozen=True)
 class RefinementTrace:
     """The refinement chain of a zip datum down to its stationary point.
 
+    ``data`` holds the datum of each stage; data[0] is the input datum.
     ``stages[i]`` holds (E_i, G_i) as subgroups of the input datum's groups,
     for i = 0..stationary_index; ``e_infinity`` is the stationary E and
-    ``g_infinity`` its tau-image (one step past the last stored G).
+    ``g_infinity`` its tau-image (one step past the last stored G).  The
+    E-level subgroups are built on first use.
     """
 
-    stages: tuple
-    stationary_index: int
-    e_infinity: Subgroup
-    g_infinity: Subgroup
-    data: tuple  # ZipDatum per stage; data[0] is the input datum
+    data: tuple
+
+    @property
+    def stationary_index(self) -> int:
+        return len(self.data) - 1
 
     @property
     def stationary_datum(self) -> ZipDatum:
         return self.data[-1]
 
+    @cached_property
+    def stages(self) -> tuple:
+        E0, G0 = self.data[0].E, self.data[0].G
+        return tuple((Subgroup(E0, d._e_members), Subgroup(G0, d.G.element_set)) for d in self.data)
+
+    @cached_property
+    def e_infinity(self) -> Subgroup:
+        return Subgroup(self.data[0].E, self.data[-1]._e_members)
+
+    @cached_property
+    def g_infinity(self) -> Subgroup:
+        return Subgroup(self.data[0].G, self.data[-1].tau_image.members)
+
 
 def refine_to_stationary(z: ZipDatum) -> RefinementTrace:
-    """Iterate refinement until E stops shrinking.
+    """Iterate refinement until the pair group stops shrinking.
 
     Termination is guaranteed on finite carriers: each non-stationary step
-    strictly shrinks E.  At the stationary index sigma(E_N) is contained in
-    tau(E_N), so E_N is the stationary subgroup and tau(E_N) its image.
+    strictly shrinks P.  At the stationary index pr2(P_N) is contained in
+    pr1(P_N), so E_N is the stationary subgroup and tau(E_N) its image.
     """
-    E0, G0 = z.E, z.G
     data = [z]
-    stages = [(Subgroup(E0, E0.element_set), Subgroup(G0, G0.element_set))]
-    for _ in range(E0.order + 1):
-        nxt = refine(data[-1])
+    for _ in range(len(z._pairs) + 1):
         cur = data[-1]
-        if not nxt.E.element_set <= cur.E.element_set or not nxt.G.element_set <= cur.G.element_set:
+        nxt = refine(cur)
+        if not nxt._pairs.items() <= cur._pairs.items() or not nxt.G.element_set <= cur.G.element_set:
             raise InvariantViolation("refinement chain is not decreasing")
-        if nxt.E.element_set == cur.E.element_set:
-            n = len(data) - 1
-            einf = Subgroup(E0, cur.E.element_set)
-            ginf = Subgroup(G0, nxt.G.element_set)  # tau(E_N)
-            if not frozenset(cur.sigma.table.values()) <= ginf.members:
+        if len(nxt._pairs) == len(cur._pairs):
+            if not cur.sigma_image.members <= nxt.G.element_set:
                 raise InvariantViolation("sigma does not map the stationary E into its tau-image")
-            return RefinementTrace(tuple(stages), n, einf, ginf, tuple(data))
+            return RefinementTrace(tuple(data))
         data.append(nxt)
-        stages.append((Subgroup(E0, nxt.E.element_set), Subgroup(G0, nxt.G.element_set)))
     raise InvariantViolation("refinement failed to become stationary")
 
 
 def e_infinity_characterization_check(z: ZipDatum, trace: RefinementTrace) -> bool:
-    """Cross-check the stationary E against an independent scan of E.
+    """Cross-check the stationary E against an independent scan of the pairs.
 
     Compares the trace's stationary subgroup with
     { e in E : sigma(e) in G_inf * tau(e) * G_inf }, deciding membership once
@@ -188,18 +258,13 @@ def e_infinity_characterization_check(z: ZipDatum, trace: RefinementTrace) -> bo
     G = z.G
     ginf = trace.g_infinity.members
     ginf_sorted = trace.g_infinity.elements
-    decided = {}
+    fibers = z._root._fibers
     described = set()
-    for e in z.E:
-        a, b = z.tau(e), z.sigma(e)
-        ok = decided.get((a, b))
-        if ok is None:
-            ainv = G.inv(a)
-            # b in Ginf*a*Ginf  iff  some h in Ginf has a^-1*h*b in Ginf
-            ok = any(G.mul(G.mul(ainv, h), b) in ginf for h in ginf_sorted)
-            decided[(a, b)] = ok
-        if ok:
-            described.add(e)
+    for r, (a, b) in z._pairs.items():
+        ainv = G.inv(a)
+        # b in Ginf*a*Ginf  iff  some h in Ginf has a^-1*h*b in Ginf
+        if any(G.mul(G.mul(ainv, h), b) in ginf for h in ginf_sorted):
+            described.update(fibers[r])
     return frozenset(described) == trace.e_infinity.members
 
 
@@ -218,7 +283,7 @@ def twist_refine_identity_check(z: ZipDatum, x, y, *, witnesses=None) -> bool:
     if y not in G:
         raise InputError("precondition failed: y is not in G")
     if witnesses is None:
-        if y not in z.tau.image().members:
+        if y not in z.tau_image.members:
             raise InputError("precondition failed: y is not in the image of tau")
         lhs = refine(twist(z, G.mul(y, x)))
         rhs = twist(refine(twist(z, x)), y)

@@ -33,14 +33,16 @@ from .zipdata import ZipDatum
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    """Miller-Rabin over the first twelve primes: exact below 3.3 * 10^24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or n in bases or any(n % b == 0 for b in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    return all(
+        x == 1 or any(pow(x, 1 << r, n) == n - 1 for r in range(s))
+        for x in (pow(b, d, n) for b in bases)
+    )
 
 
 @dataclass(frozen=True)
@@ -51,6 +53,8 @@ class WittZipConfig:
     n: int
 
     def __post_init__(self):
+        if self.p.bit_length() > 64 or self.n > 64:
+            raise InputError("Witt parameters too large to enumerate")
         if not _is_prime(self.p):
             raise InputError(f"p must be prime, got {self.p}")
         if self.n < 2:

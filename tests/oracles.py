@@ -92,18 +92,37 @@ def naive_fine_orbits(z):
     return sorted(orbits)
 
 
-def naive_zip_classes(z):
-    """Coarse classes straight from the definition, with the stationary
-    group of each witness found by lattice search."""
-    from zipcalc import twist
+def naive_refinement_chain(z, x):
+    """The refinement chain of the x-twist of z, straight from the definition
+    over the tables of tau and sigma: E_0 = E, G_0 = G and
+    E_{i+1} = {e in E_i : x * sigma(e) * x^-1 in tau(E_i)}, G_{i+1} = tau(E_i),
+    until E stops shrinking.
 
+    Returns (stages, e_infinity, g_infinity) with stages[i] = (E_i, G_i).
+    """
+    G = z.G
+    tau, sigma = z.tau.table, z.sigma.table
+    xinv = G.inv(x)
+    e_cur, g_cur = frozenset(z.E.elements), frozenset(G.elements)
+    stages = []
+    while True:
+        stages.append((e_cur, g_cur))
+        g_next = frozenset(tau[e] for e in e_cur)
+        e_next = frozenset(e for e in e_cur if G.mul(G.mul(x, sigma[e]), xinv) in g_next)
+        if e_next == e_cur:
+            return stages, e_cur, g_next
+        e_cur, g_cur = e_next, g_next
+
+
+def naive_zip_classes(z):
+    """Coarse classes straight from the definition, over all of E, with the
+    stationary group of each witness from the naive refinement chain."""
     G = z.G
     pending = set(G.elements)
     classes = []
     while pending:
         x = min(pending)
-        einf = lattice_e_infinity(twist(z, x))
-        ginf = {z.tau(e) for e in einf}
+        ginf = naive_refinement_chain(z, x)[2]
         members = frozenset(
             G.mul(G.mul(z.tau(e), G.mul(g, x)), G.inv(z.sigma(e)))
             for e in z.E.elements
@@ -117,13 +136,10 @@ def naive_zip_classes(z):
 
 def naive_torsor_check(z, x):
     """Full-domain fiber/orbit comparison for the class map of x."""
-    from zipcalc import refine_to_stationary, twist
-
     G, E = z.G, z.E
-    zx = twist(z, x)
-    trace = refine_to_stationary(zx)
-    einf = trace.e_infinity.members
-    ginf = sorted(trace.g_infinity.members)
+    _, einf, ginf = naive_refinement_chain(z, x)
+    ginf = sorted(ginf)
+    xinv = G.inv(x)
     fibers = {}
     for e in E.elements:
         for g in ginf:
@@ -136,9 +152,10 @@ def naive_torsor_check(z, x):
         e0, g0 = min(fiber)
         orbit = set()
         for eps in einf:
+            twisted = G.mul(G.mul(x, z.sigma(eps)), xinv)
             pair = (
                 E.mul(e0, E.inv(eps)),
-                G.mul(G.mul(z.tau(eps), g0), G.inv(zx.sigma(eps))),
+                G.mul(G.mul(z.tau(eps), g0), G.inv(twisted)),
             )
             orbit.add(pair)
         if orbit != fiber:

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from zipcalc.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, main
+from zipcalc.cli import COMMANDS, EXIT_CHECK, EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, load_job, main
 
 
 def write_config(tmp_path, name, payload):
@@ -238,6 +242,11 @@ def _table_sigma(literal):
             id="non-integer-twist",
         ),
         pytest.param(
+            {"groups": {"E": {"backend": "matrix", "size": 2, "modulus": 0, "generators": [[1, 0, 0, 1]]}, "G": PERM3},
+             "tau": {"type": "trivial"}, "sigma": {"type": "trivial"}},
+            id="matrix-modulus-zero",
+        ),
+        pytest.param(
             {"groups": {"E": {"backend": "permutation", "degree": 3, "generators": [[1, "a", 2]]}, "G": PERM3},
              "tau": {"type": "trivial"}, "sigma": {"type": "trivial"}},
             id="permutation-generator-string",
@@ -285,6 +294,139 @@ def test_max_order_refuses_witt_preset_before_building(tmp_path, capsys, monkeyp
     code, _, err = run(capsys, "--config", str(cfg), "--command", "classes", "--max-order", "100")
     assert code == EXIT_RESOURCE
     assert err == "resource limit: carrier of order 605052 exceeds --max-order 100\n"
+
+
+S8_GENERATORS = [[1, 0, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7, 0]]
+
+
+def test_max_order_refuses_explicit_group_while_closing(tmp_path, capsys, monkeypatch):
+    from zipcalc.groups import FiniteGroup, PermutationGroup
+
+    carriers, products = [], []
+    init, mul = FiniteGroup.__init__, PermutationGroup.mul
+
+    def counting_init(self, elements, *args, **kwargs):
+        elements = list(elements)
+        carriers.append(len(elements))
+        init(self, elements, *args, **kwargs)
+
+    def counting_mul(self, a, b):
+        products.append(1)
+        return mul(self, a, b)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", counting_init)
+    monkeypatch.setattr(PermutationGroup, "mul", counting_mul)
+    s8 = {"backend": "permutation", "degree": 8, "generators": S8_GENERATORS}
+    cfg = write_config(tmp_path, "s8.json", {"groups": {"E": s8, "G": s8}, "tau": {"type": "identity"},
+                                             "sigma": {"type": "identity"}})
+    code, _, err = run(capsys, "--config", str(cfg), "--command", "classes", "--max-order", "100")
+    assert code == EXIT_RESOURCE
+    assert err.startswith(f"resource limit: {cfg}.groups.E: ")
+    assert "--max-order 100" in err
+    assert max(carriers, default=0) <= 100
+    assert len(products) < 1000  # S8 has 40320 elements
+
+
+def test_max_order_bounds_element_size_and_table_order(tmp_path, capsys):
+    for name, group in (
+        ("wide", {"backend": "permutation", "degree": 10**12, "generators": []}),
+        ("big-matrix", {"backend": "matrix", "size": 10**6, "modulus": 2, "generators": []}),
+        ("table", {"backend": "cayley", "table": [[0]] * 101}),
+    ):
+        cfg = write_config(tmp_path, f"{name}.json", {"groups": {"E": group, "G": group},
+                                                      "tau": {"type": "trivial"}, "sigma": {"type": "trivial"}})
+        code, _, err = run(capsys, "--config", str(cfg), "--command", "classes", "--max-order", "100")
+        assert code == EXIT_RESOURCE, name
+        assert err.startswith(f"resource limit: {cfg}.groups.E: "), name
+
+
+def test_one_by_one_matrix_groups(tmp_path, capsys):
+    units = {"backend": "matrix", "size": 1, "modulus": 5, "generators": [[2]]}
+    cfg = write_config(tmp_path, "units.json", {"groups": {"E": units, "G": units}, "tau": {"type": "identity"},
+                                                "sigma": {"type": "trivial"}})
+    code, out, _ = run(capsys, "--config", str(cfg), "--command", "classes")
+    assert code == EXIT_OK
+    assert '"class_count": 1' in out  # tau is onto, so one class
+
+
+def test_load_job_without_a_limit(witt22_config):
+    assert load_job(witt22_config).datum.E.order == 32
+
+
+# -- whole-config fuzz --------------------------------------------------------------
+
+SMALL = st.integers(-2, 9)
+SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=6))
+ANY_JSON = st.recursive(
+    SCALAR,
+    lambda kids: st.one_of(st.lists(kids, max_size=3), st.dictionaries(st.text(max_size=5), kids, max_size=3)),
+    max_leaves=6,
+)
+
+
+def mixed(strategy):
+    """Mostly values of the real grammar, one in ten any JSON value."""
+    return st.sampled_from(range(10)).flatmap(lambda i: strategy if i else ANY_JSON)
+
+
+ELEMENT = mixed(st.one_of(st.text(alphabet="()[], 0123456789", max_size=10), st.lists(SMALL, max_size=4), SMALL))
+PERMUTATION = st.integers(1, 4).flatmap(lambda d: st.permutations(list(range(d))))
+XOR_TABLE = st.integers(0, 2).map(lambda k: [[i ^ j for j in range(1 << k)] for i in range(1 << k)])
+GROUP = mixed(
+    st.one_of(
+        st.fixed_dictionaries({"backend": st.just("permutation"), "degree": mixed(st.integers(0, 4)),
+                               "generators": mixed(st.lists(mixed(PERMUTATION), max_size=2))}),
+        st.fixed_dictionaries({"backend": st.just("matrix"), "size": mixed(st.integers(0, 2)),
+                               "modulus": mixed(st.integers(-1, 4)),
+                               "generators": mixed(st.lists(mixed(st.lists(SMALL, max_size=4)), max_size=2))}),
+        st.fixed_dictionaries({"backend": st.just("cayley"),
+                               "table": mixed(st.one_of(XOR_TABLE, st.lists(st.lists(SMALL, max_size=3), max_size=3)))}),
+    )
+)
+HOM = mixed(
+    st.one_of(
+        st.fixed_dictionaries({"type": st.sampled_from(["identity", "inclusion", "trivial"])}),
+        st.fixed_dictionaries({"type": st.just("table"),
+                               "entries": mixed(st.lists(mixed(st.lists(ELEMENT, min_size=2, max_size=2)), max_size=4))}),
+        st.fixed_dictionaries({"type": st.just("generator-images"), "generators": mixed(st.lists(ELEMENT, max_size=2)),
+                               "images": mixed(st.lists(ELEMENT, max_size=2))}),
+        st.fixed_dictionaries({"type": st.just("preset"), "name": mixed(st.sampled_from(["witt-sigma", "witt-tau"])),
+                               "p": mixed(st.integers(0, 3))}),
+    )
+)
+PRESET = mixed(
+    st.one_of(
+        st.fixed_dictionaries({"kind": st.just("witt"), "p": mixed(st.integers(-1, 7)), "n": mixed(st.integers(-1, 3))}),
+        st.fixed_dictionaries({"kind": st.just("zoo"),
+                               "entry": mixed(st.sampled_from(["trivial-e", "s3-mixed", "gl2f2-borel", "nope"]))}),
+    )
+)
+COMMON = {
+    "name": mixed(st.text(max_size=5)),
+    "seed": mixed(SMALL),
+    "twist": ELEMENT,
+    "out": mixed(st.text(max_size=5)),
+}
+CONFIG = st.one_of(
+    st.fixed_dictionaries({"command": mixed(st.sampled_from(COMMANDS)), "preset": PRESET}, optional=COMMON),
+    st.fixed_dictionaries(
+        {"command": mixed(st.sampled_from(COMMANDS)), "groups": mixed(st.fixed_dictionaries({"E": GROUP, "G": GROUP})),
+         "tau": HOM, "sigma": HOM},
+        optional=COMMON,
+    ),
+    st.fixed_dictionaries({}, optional={**COMMON, "command": ANY_JSON, "preset": PRESET, "groups": ANY_JSON}),
+)
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(st.one_of(CONFIG, CONFIG, CONFIG, ANY_JSON))
+def test_any_config_exits_with_a_documented_code(capsys, config):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "fuzz.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code = main(["--config", str(path), "--out", str(Path(scratch) / "out"), "--max-order", "40"])
+        capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_CHECK, EXIT_RESOURCE)
 
 
 # -- command outputs ----------------------------------------------------------------

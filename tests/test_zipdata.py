@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 import oracles
 from zipcalc import (
+    Homomorphism,
     InputError,
+    MatrixGroup,
     ZipDatum,
     e_infinity_characterization_check,
     identity_hom,
@@ -85,6 +87,76 @@ def test_twist_witt_antidiagonal_formula(witt23):
     for e in z.E.elements[::37]:
         a, b, c, d = e
         assert zx.sigma(e) == (d % m, (c // p) % m, (p * b) % m, a % m)
+
+
+# -- the pair core ------------------------------------------------------------------
+
+
+def test_pair_images_match_hom_images(acceptance_data):
+    for name, z in acceptance_data[:-1]:
+        for d in (z, twist(z, z.G.elements[-1]), refine(z)):
+            assert d.tau_image.members == d.tau.image().members, name
+            assert d.sigma_image.members == d.sigma.image().members, name
+
+
+def test_derived_e_level_attributes(witt22):
+    z, x = witt22
+    zx = twist(z, x)
+    assert zx.E is z.E and zx.tau is z.tau
+    assert zx.sigma.table == {e: z.G.conjugate(x, z.sigma(e)) for e in z.E}
+    z1 = refine(zx)
+    assert z1.E.element_set == frozenset(e for e in z.E if zx.sigma(e) in zx.tau_image)
+    assert z1.tau.table == {e: z.tau(e) for e in z1.E}
+    assert z1.sigma.table == {e: zx.sigma(e) for e in z1.E}
+    for e in z.E:
+        expected = (z1.tau(e), z1.sigma(e)) if e in z1.E else None
+        assert z1.pair_of(e) == expected
+
+
+def test_sigma_witnesses_are_key_minimal(witt22):
+    z, x = witt22
+    for d in (z, refine(twist(z, x))):
+        for b in d.sigma_image.elements:
+            a, b_, w = d.sigma_witnesses[b]
+            assert b_ == b and d.sigma(w) == b and d.tau(w) == a
+            assert w == min(e for e in d.E if d.sigma(e) == b)
+
+
+def test_refinement_matches_naive_chain_for_every_twist(zoo, witt22, witt23):
+    data = list(zoo.values()) + [witt22[0], witt23[0]]
+    for z in data:
+        for x in z.G.elements:
+            trace = refine_to_stationary(twist(z, x))
+            stages, einf, ginf = oracles.naive_refinement_chain(z, x)
+            assert [(e.members, g.members) for e, g in trace.stages] == stages
+            assert trace.e_infinity.members == einf
+            assert trace.g_infinity.members == ginf
+
+
+def test_twisted_refinement_stays_on_pairs(witt23, monkeypatch):
+    # no E-sized table and no product in E: only the twist's conjugations
+    z, _ = witt23
+    counts = {"hom": 0, "E": 0, "G": 0}
+    hom_init = Homomorphism.__init__
+    mul = MatrixGroup.mul
+
+    def counting_init(self, *args, **kwargs):
+        counts["hom"] += 1
+        hom_init(self, *args, **kwargs)
+
+    def counting_mul(self, a, b):
+        counts["E" if self.modulus == z.E.modulus else "G"] += 1
+        return mul(self, a, b)
+
+    pair_count = len(z.action_pairs)
+    assert (pair_count, z.E.order) == (64, 512)
+    monkeypatch.setattr(Homomorphism, "__init__", counting_init)
+    monkeypatch.setattr(MatrixGroup, "mul", counting_mul)
+    for x in z.G.elements:
+        counts.update(hom=0, E=0, G=0)
+        refine_to_stationary(twist(z, x))
+        assert counts["hom"] == 0 and counts["E"] == 0
+        assert counts["G"] <= 2 * pair_count
 
 
 # -- refinement to stationarity ----------------------------------------------------

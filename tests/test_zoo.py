@@ -21,6 +21,14 @@ def test_config_rejects_composite_p():
         WittZipConfig(1, 2)
 
 
+def test_config_primality_is_fast_on_large_p():
+    assert WittZipConfig(10**18 + 3, 2).p == 10**18 + 3
+    with pytest.raises(InputError, match="prime"):
+        WittZipConfig(3215031751, 2)  # a strong pseudoprime to the bases 2, 3, 5 and 7
+    with pytest.raises(InputError, match="too large"):
+        WittZipConfig(2**89 - 1, 2)
+
+
 def test_config_rejects_small_level():
     with pytest.raises(InputError):
         WittZipConfig(2, 1)
