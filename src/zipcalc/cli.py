@@ -9,12 +9,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-from . import reports
-from .equivalence import fine_orbits, zip_classes
-from .forest import build_forest, forest_to_dot
+# The analysis and report layers are lazy modules (see __init__): each one
+# loads when a command first uses it, so they are called through the module.
+from . import equivalence, forest, reports, verify
 from .groups import (
     CayleyTableGroup,
     FiniteGroup,
@@ -22,13 +21,13 @@ from .groups import (
     InputError,
     MatrixGroup,
     PermutationGroup,
+    Record,
     ResourceLimitExceeded,
     hom_from_generator_images,
     identity_hom,
     inclusion_hom,
     trivial_hom,
 )
-from .verify import run_verification
 from .zipdata import ZipDatum, refine_to_stationary, twist
 from .zoo import WittZipConfig, build_small_zoo, build_witt_zip, witt_sigma_table, zoo_entry
 
@@ -44,14 +43,12 @@ class ConfigError(InputError):
     """A config file problem; the message names the failing config path."""
 
 
-@dataclass
-class Job:
-    name: str
-    datum: ZipDatum
-    twist_literal: str | None
-    seed: int
-    command: str | None = None
-    out: Path | None = None
+class Job(Record):
+    """A loaded config: its name, datum, twist literal, seed, and the
+    command and output directory it names, if any."""
+
+    __slots__ = _fields = ("name", "datum", "twist_literal", "seed", "command", "out")
+    _defaults = {"command": None, "out": None}
 
 
 def _fail(where: str, message: str):
@@ -242,17 +239,24 @@ def load_job(config_path: Path, max_order: int | None = None) -> Job:
 
 
 def _emit(out_dir: Path | None, files: dict, stdout_lines: list):
+    """Print the summary lines, then the reports: to stdout, or as files in
+    out_dir.  Files are written before anything is printed, so a directory
+    that cannot be written is a config error with nothing on stdout."""
+    if out_dir is not None:
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for filename, content in sorted(files.items()):
+                (out_dir / filename).write_text(content, encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"{out_dir}: cannot write reports: {exc.strerror or exc}") from None
     for line in stdout_lines:
         print(line)
     if out_dir is None:
         for _, content in sorted(files.items()):
             sys.stdout.write(content)
     else:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for filename, content in sorted(files.items()):
-            path = out_dir / filename
-            path.write_text(content, encoding="utf-8")
-            print(f"wrote {path}")
+        for filename in sorted(files):
+            print(f"wrote {out_dir / filename}")
 
 
 def _run_command(job: Job, command: str, out_dir: Path | None) -> int:
@@ -283,26 +287,27 @@ def _run_command(job: Job, command: str, out_dir: Path | None) -> int:
         _emit(out_dir, {"infinity.json": reports.dumps_canonical(doc)}, lines)
         return EXIT_OK
     if command == "orbits":
-        report = fine_orbits(z)
+        report = equivalence.fine_orbits(z)
         doc = reports.class_report_document(name, report)
         _emit(out_dir, {"orbits.json": reports.dumps_canonical(doc)}, [f"fine orbits: {report.class_count}"])
         return EXIT_OK
     if command == "classes":
-        report = zip_classes(z)
+        report = equivalence.zip_classes(z)
         doc = reports.class_report_document(name, report)
         _emit(out_dir, {"classes.json": reports.dumps_canonical(doc)}, [f"classes: {report.class_count}"])
         return EXIT_OK
     if command == "forest":
-        forest = build_forest(z)
-        doc = reports.forest_document(name, forest)
+        rep_forest = forest.build_forest(z)
+        doc = reports.forest_document(name, rep_forest)
         files = {
             "forest.json": reports.dumps_canonical(doc),
-            "forest.dot": forest_to_dot(forest),
+            "forest.dot": forest.forest_to_dot(rep_forest),
         }
-        _emit(out_dir, files, [f"forest: {len(forest.roots)} roots, {len(forest.leaves)} stable paths"])
+        lines = [f"forest: {len(rep_forest.roots)} roots, {len(rep_forest.leaves)} stable paths"]
+        _emit(out_dir, files, lines)
         return EXIT_OK
     if command == "verify":
-        results = run_verification(z, seed=job.seed)
+        results = verify.run_verification(z, seed=job.seed)
         lines = [f"{'PASS' if r.passed else 'FAIL'}  {r.name}" + (f"  [{r.detail}]" if r.detail else "") for r in results]
         doc = reports.verification_document(name, z, results)
         _emit(out_dir, {"verify.json": reports.dumps_canonical(doc)}, lines)
@@ -316,7 +321,7 @@ def _run_zoo(out_dir: Path | None, seed: int, max_order: int) -> int:
     lines = []
     for entry_name, datum in build_small_zoo().items():
         _enforce_max_order(max(datum.E.order, datum.G.order), max_order)
-        results = run_verification(datum, seed=seed)
+        results = verify.run_verification(datum, seed=seed)
         for r in results:
             lines.append(
                 f"{'PASS' if r.passed else 'FAIL'}  {entry_name}: {r.name}"

@@ -20,26 +20,23 @@ and where a check is stated on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
-from .groups import InputError, InvariantViolation, Subgroup, conjugate, double_coset_of
+from .groups import InputError, InvariantViolation, Record, Subgroup, conjugate, double_coset_of
 from .zipdata import ZipDatum, refine, refine_to_stationary, twist
 
 
-@dataclass(frozen=True)
-class ZipClass:
+class ZipClass(Record):
     """One equivalence class: key-minimal witness, members, per-witness data.
 
-    ``member_witness[y] = (e, g)`` records y = tau(e) * g * witness * sigma(e)^-1
-    (fine orbits carry e only, with g fixed to the identity).
+    ``e_infinity`` and ``g_infinity`` are the witness's stationary subgroups
+    (None for fine orbits).  ``member_witness[y] = (e, g)`` records
+    y = tau(e) * g * witness * sigma(e)^-1 (fine orbits carry e only, with g
+    fixed to the identity); it takes no part in ==, hash or repr.
     """
 
-    witness: object
-    members: frozenset
-    e_infinity: Subgroup | None
-    g_infinity: Subgroup | None
-    member_witness: dict = field(repr=False, hash=False, compare=False)
+    __slots__ = _fields = ("witness", "members", "e_infinity", "g_infinity", "member_witness")
+    _compared = _fields[:-1]
 
     @property
     def size(self) -> int:

@@ -11,13 +11,11 @@ is stable; classification walks the materialized part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .equivalence import ClassReport
 from .groups import (
     DoubleCosetDecomposition,
     InputError,
     InvariantViolation,
+    Record,
     double_cosets,
 )
 from .zipdata import ZipDatum, is_tau_surjective, refine, twist
@@ -54,12 +52,11 @@ class ForestNode:
         return f"<ForestNode gen={self.generation} stable={self.stable}>"
 
 
-@dataclass(frozen=True)
-class ClassificationPath:
-    """Entries (r_0, ..., r_N) along a root-to-leaf walk of the forest."""
+class ClassificationPath(Record):
+    """Entries (r_0, ..., r_N) along a root-to-leaf walk of the forest, and
+    the group they lie in."""
 
-    entries: tuple
-    group: object
+    __slots__ = _fields = ("entries", "group")
 
     def __len__(self):
         return len(self.entries)

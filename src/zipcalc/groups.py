@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import operator
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
@@ -34,6 +33,60 @@ class InvariantViolation(RuntimeError):
 
 class ResourceLimitExceeded(RuntimeError):
     """A carrier would grow past the caller's order limit."""
+
+
+class Record:
+    """Base of the small immutable value types, in place of frozen
+    dataclasses, whose import and method generation a short job would pay.
+
+    A subclass names its fields in ``_fields`` (positional order, also its
+    ``__slots__``) and the defaults of trailing fields in ``_defaults``.
+    ==, hash and repr run over ``_compared``, which is ``_fields`` unless
+    the subclass narrows it.  Assignment raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+    _defaults: dict = {}
+    _compared: tuple | None = None
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__} takes {len(fields)} arguments, got {len(args)}")
+        values = list(args)
+        for name in fields[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in self._defaults:
+                values.append(self._defaults[name])
+            else:
+                raise TypeError(f"{type(self).__name__} missing argument {name!r}")
+        if kwargs:
+            raise TypeError(f"{type(self).__name__} got unexpected arguments {sorted(kwargs)}")
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compared or self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._compared or self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
 
 
 def _int_tuple(values, what: str) -> tuple:
@@ -320,20 +373,48 @@ class PermutationGroup(FiniteGroup):
 
 
 def _int_det(rows):
+    """Exact determinant of a square integer matrix."""
     n = len(rows)
-    if n == 0:
-        return 1
     if n == 1:
         return rows[0][0]
     if n == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = 0
-    for j, a in enumerate(rows[0]):
-        if a == 0:
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        total += (-1) ** j * a * _int_det(minor)
-    return total
+    return _bareiss(rows)[0]
+
+
+def _bareiss(rows, adjugate=False):
+    """(det, adj) of a square integer matrix by fraction-free (Bareiss)
+    elimination, exact over the integers in O(n^3) operations.
+
+    Every division by the previous pivot is exact, so no entry grows past
+    the size of a minor.  With adjugate, the identity is carried along and
+    the rows above each pivot are cleared too (Gauss-Jordan), which leaves
+    det * rows^-1 = adj beside det * I; otherwise adj is None.  A singular
+    matrix gives (0, None).
+    """
+    n = len(rows)
+    width = 2 * n if adjugate else n
+    m = [list(r) + ([int(i == j) for j in range(n)] if adjugate else []) for i, r in enumerate(rows)]
+    sign, prev = 1, 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k]), None)
+        if p is None:
+            return 0, None
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            sign = -sign
+        pivot_row = m[k]
+        pivot = pivot_row[k]
+        for i in range(n) if adjugate else range(k + 1, n):
+            if i != k:
+                row = m[i]
+                f = row[k]
+                for j in range(k + 1, width):
+                    row[j] = (pivot * row[j] - f * pivot_row[j]) // prev
+        prev = pivot
+    if not adjugate:
+        return sign * prev, None
+    return sign * prev, [[sign * v for v in row[n:]] for row in m]
 
 
 class MatrixGroup(FiniteGroup):
@@ -380,14 +461,9 @@ class MatrixGroup(FiniteGroup):
             di = pow((a0 * a3 - a1 * a2) % m, -1, m)
             return ((a3 * di) % m, (-a1 * di) % m, (-a2 * di) % m, (a0 * di) % m)
         n = self.size
-        rows = [list(a[i * n : (i + 1) * n]) for i in range(n)]
-        di = pow(_int_det(rows) % m, -1, m)
-        out = [0] * (n * n)
-        for i in range(n):
-            for j in range(n):
-                minor = [r[:j] + r[j + 1 :] for k, r in enumerate(rows) if k != i]
-                out[j * n + i] = ((-1) ** (i + j) * _int_det(minor) * di) % m
-        return tuple(out)
+        det, adj = _bareiss([a[i * n : (i + 1) * n] for i in range(n)], adjugate=True)
+        di = pow(det % m, -1, m)
+        return tuple(v * di % m for row in adj for v in row)
 
     def space(self):
         return ("matrix", self.size, self.modulus)
@@ -404,11 +480,13 @@ class MatrixGroup(FiniteGroup):
         if s.startswith("[") and s.endswith("]"):
             s = s[1:-1]
         try:
-            entries = tuple(int(tok) % self.modulus for tok in s.split(","))
+            entries = tuple(int(tok) for tok in s.split(","))
         except ValueError as exc:
             raise InputError(f"cannot parse matrix literal {text!r}") from exc
         if len(entries) != self.size * self.size:
             raise InputError(f"matrix literal {text!r} needs {self.size * self.size} entries")
+        if not all(0 <= v < self.modulus for v in entries):
+            raise InputError(f"matrix literal {text!r} has an entry outside 0..{self.modulus - 1}")
         if entries not in self.element_set:
             raise InputError(f"matrix {text!r} is not in this group")
         return entries
@@ -419,9 +497,11 @@ class MatrixGroup(FiniteGroup):
         probe = cls(size, modulus, [tuple(1 if i == j else 0 for i in range(size) for j in range(size))], check=False)
         gens = []
         for g in generators:
-            g = tuple(v % modulus for v in _int_tuple(g, "matrix generator"))
+            g = _int_tuple(g, "matrix generator")
             if len(g) != size * size:
                 raise InputError(f"generator {g} needs {size * size} entries")
+            if not all(0 <= v < modulus for v in g):
+                raise InputError(f"generator {g} has an entry outside 0..{modulus - 1}")
             gens.append(g)
         for g in gens:
             if gcd(probe.det(g), modulus) != 1:
@@ -741,10 +821,8 @@ def hom_from_generator_images(source: FiniteGroup, target: FiniteGroup, generato
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DoubleCoset:
-    representative: object
-    members: frozenset
+class DoubleCoset(Record):
+    __slots__ = _fields = ("representative", "members")
 
 
 class DoubleCosetDecomposition:
@@ -833,11 +911,11 @@ def double_cosets(ambient: FiniteGroup, left: Subgroup, right: Subgroup) -> Doub
     return DoubleCosetDecomposition(ambient, left, right, tuple(cosets), rep_of)
 
 
-@dataclass(frozen=True)
-class CosetBijection:
-    source: DoubleCosetDecomposition
-    target: DoubleCosetDecomposition
-    rep_map: dict
+class CosetBijection(Record):
+    """source and target decompositions, and rep_map between their
+    representatives."""
+
+    __slots__ = _fields = ("source", "target", "rep_map")
 
 
 def conjugated_double_coset_map(d: DoubleCosetDecomposition, x, y) -> CosetBijection:

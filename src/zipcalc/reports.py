@@ -7,12 +7,16 @@ given input produces byte-identical output on every run.
 
 from __future__ import annotations
 
-import hashlib
 import json
 
-from .equivalence import ClassReport
-from .forest import RepForest
-from .zipdata import RefinementTrace, ZipDatum
+# CPython's built-in sha256 first: hashlib would load OpenSSL for one digest
+try:
+    from _sha2 import sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 SCHEMA_VERSION = 1
 
@@ -23,7 +27,7 @@ def dumps_canonical(obj) -> str:
 
 def members_digest(group, members) -> str:
     text = ",".join(group.format_element(m) for m in sorted(members))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    return sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 def _datum_descriptor(name: str, z: ZipDatum) -> dict:

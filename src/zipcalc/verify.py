@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .equivalence import (
     coarsening_check,
@@ -14,7 +13,7 @@ from .equivalence import (
     zip_classes,
 )
 from .forest import build_forest, limit_bijection_check
-from .groups import double_cosets
+from .groups import Record, double_cosets
 from .zipdata import (
     ZipDatum,
     e_infinity_characterization_check,
@@ -24,11 +23,11 @@ from .zipdata import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(Record):
+    """One named cross-check: whether it passed, and an optional detail."""
+
+    __slots__ = _fields = ("name", "passed", "detail")
+    _defaults = {"detail": ""}
 
 
 def run_verification(z: ZipDatum, *, seed: int = 0, samples: int = 2) -> list:

@@ -20,7 +20,6 @@ the tau-image, and its tau-image is the stationary G.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .groups import (
@@ -28,6 +27,7 @@ from .groups import (
     Homomorphism,
     InputError,
     InvariantViolation,
+    Record,
     Subgroup,
     _mulclose,
 )
@@ -192,8 +192,7 @@ def is_tau_surjective(z: ZipDatum) -> bool:
     return z.tau_image.members == z.G.element_set
 
 
-@dataclass(frozen=True)
-class RefinementTrace:
+class RefinementTrace(Record):
     """The refinement chain of a zip datum down to its stationary point.
 
     ``data`` holds the datum of each stage; data[0] is the input datum.
@@ -203,7 +202,8 @@ class RefinementTrace:
     E-level subgroups are built on first use.
     """
 
-    data: tuple
+    _fields = ("data",)
+    __slots__ = (*_fields, "__dict__")  # __dict__ holds the cached properties
 
     @property
     def stationary_index(self) -> int:

@@ -14,7 +14,6 @@ homomorphism of finite groups.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd
 
 from .groups import (
@@ -23,6 +22,7 @@ from .groups import (
     InputError,
     MatrixGroup,
     PermutationGroup,
+    Record,
     closure,
     conjugation_hom,
     identity_hom,
@@ -45,14 +45,13 @@ def _is_prime(n: int) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class WittZipConfig:
+class WittZipConfig(Record):
     """Parameters of the truncated Witt model: a prime p and a level n >= 2."""
 
-    p: int
-    n: int
+    __slots__ = _fields = ("p", "n")
 
-    def __post_init__(self):
+    def __init__(self, p, n):
+        super().__init__(p, n)
         if self.p.bit_length() > 64 or self.n > 64:
             raise InputError("Witt parameters too large to enumerate")
         if not _is_prime(self.p):

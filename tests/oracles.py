@@ -8,6 +8,7 @@ fiber checks.  Only usable on small carriers.
 from __future__ import annotations
 
 import itertools
+import math
 
 
 def naive_closure(group, generators):
@@ -215,3 +216,28 @@ def naive_is_group_table(table):
         for b in range(n)
         for c in range(n)
     )
+
+
+def cofactor_det(rows):
+    """Determinant by Laplace expansion along the first row."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * a * cofactor_det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j, a in enumerate(rows[0])
+    )
+
+
+def cofactor_inverse_mod(rows, modulus):
+    """The inverse mod modulus as adj / det, each adjugate entry a cofactor
+    determinant; None when det is not a unit mod modulus."""
+    n = len(rows)
+    det = cofactor_det(rows) % modulus
+    if math.gcd(det, modulus) != 1:
+        return None
+    d_inv = pow(det, -1, modulus)
+    minor = lambda i, j: [r[:j] + r[j + 1 :] for k, r in enumerate(rows) if k != i]
+    return [
+        [(-1) ** (i + j) * cofactor_det(minor(j, i)) * d_inv % modulus for j in range(n)]
+        for i in range(n)
+    ]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -219,6 +220,7 @@ def test_bad_twist_literal(witt22_config, capsys):
 
 PERM3 = {"backend": "permutation", "degree": 3, "generators": [[1, 0, 2]]}
 PERM4 = {"backend": "permutation", "degree": 4, "generators": [[1, 0, 2, 3], [0, 1, 3, 2]]}
+GL2F2 = {"backend": "matrix", "size": 2, "modulus": 2, "generators": [[1, 1, 0, 1], [0, 1, 1, 0]]}
 
 
 def _table_sigma(literal):
@@ -265,6 +267,16 @@ def _table_sigma(literal):
             {"groups": {"E": PERM3, "G": {"backend": "matrix", "size": 2, "modulus": 2, "generators": [7]}},
              "tau": {"type": "trivial"}, "sigma": {"type": "trivial"}},
             id="matrix-generator-not-a-list",
+        ),
+        pytest.param(
+            {"groups": {"E": GL2F2, "G": GL2F2}, "tau": {"type": "identity"}, "sigma": {"type": "identity"},
+             "twist": "[3,0,0,1]"},
+            id="matrix-twist-entry-out-of-range",
+        ),
+        pytest.param(
+            {"groups": {"E": PERM3, "G": {"backend": "matrix", "size": 2, "modulus": 2, "generators": [[3, 0, 0, 1]]}},
+             "tau": {"type": "trivial"}, "sigma": {"type": "trivial"}},
+            id="matrix-generator-entry-out-of-range",
         ),
         pytest.param(
             {"groups": {"E": {"backend": "cayley", "table": [[0, 1], [1, "z"]]}, "G": PERM3},
@@ -347,6 +359,39 @@ def test_one_by_one_matrix_groups(tmp_path, capsys):
     code, out, _ = run(capsys, "--config", str(cfg), "--command", "classes")
     assert code == EXIT_OK
     assert '"class_count": 1' in out  # tau is onto, so one class
+
+
+def _dense_involution(n, m):
+    """I - 2*u*v^T with v.u = 1 mod m: a matrix with few zero entries whose
+    square is the identity."""
+    u = [i % (m - 1) + 1 for i in range(n)]
+    v = [1] * (n - 1) + [(1 - sum(u[:-1])) * pow(u[-1], -1, m) % m]
+    return [((i == j) - 2 * u[i] * v[j]) % m for i in range(n) for j in range(n)]
+
+
+@pytest.mark.parametrize("singular, expected", [(False, EXIT_OK), (True, EXIT_CONFIG)], ids=["involution", "singular"])
+def test_dense_10x10_matrix_generator_is_settled_fast(tmp_path, capsys, singular, expected):
+    a = _dense_involution(10, 7)
+    if singular:
+        a[90:] = [(x + y) % 7 for x, y in zip(a[:10], a[10:20])]
+    group = {"backend": "matrix", "size": 10, "modulus": 7, "generators": [a]}
+    cfg = write_config(tmp_path, "dense.json", {"groups": {"E": group, "G": group}, "tau": {"type": "identity"},
+                                                "sigma": {"type": "identity"}})
+    started = time.perf_counter()
+    code, _, err = run(capsys, "--config", str(cfg), "--command", "classes", "--max-order", "141")
+    assert time.perf_counter() - started < 1.0
+    assert code == expected, err
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["existing-file", "path-under-a-file"])
+def test_unwritable_out_path_exits_two_naming_it(witt22_config, tmp_path, capsys, under):
+    blocker = tmp_path / "occupied"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    out_dir = blocker / "reports" if under else blocker
+    code, out, err = run(capsys, "--config", str(witt22_config), "--command", "refine", "--out", str(out_dir))
+    assert code == EXIT_CONFIG
+    assert err.startswith(f"config error: {out_dir}: cannot write reports: ")
+    assert out == ""
 
 
 def test_load_job_without_a_limit(witt22_config):
@@ -489,10 +534,9 @@ def test_verify_command_passes_on_witt(witt22_config, tmp_path, capsys):
 
 
 def test_verify_exit_code_reflects_failures(witt22_config, tmp_path, capsys, monkeypatch):
-    import zipcalc.cli as cli_mod
     from zipcalc.verify import CheckResult
 
-    monkeypatch.setattr(cli_mod, "run_verification", lambda z, seed=0: [CheckResult("doomed", False)])
+    monkeypatch.setattr("zipcalc.verify.run_verification", lambda z, seed=0: [CheckResult("doomed", False)])
     code, out, _ = run(capsys, "--config", str(witt22_config), "--command", "verify")
     assert code == EXIT_CHECK
     assert "FAIL" in out

@@ -3,7 +3,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -75,6 +75,20 @@ def test_matrix_3x3_inverse():
     validate_group_laws(g)
     for a in g.elements:
         assert g.mul(a, g.inv(a)) == g.identity
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_matrix_det_and_inverse_match_cofactor_oracle(data):
+    size = data.draw(st.integers(1, 5), label="size")
+    modulus = data.draw(st.integers(2, 12), label="modulus")
+    a = tuple(data.draw(st.lists(st.integers(0, modulus - 1), min_size=size * size, max_size=size * size)))
+    g = MatrixGroup(size, modulus, [tuple(int(i == j) for i in range(size) for j in range(size))], check=False)
+    rows = [list(a[i * size : (i + 1) * size]) for i in range(size)]
+    assert g.det(a) == oracles.cofactor_det(rows) % modulus
+    inverse = oracles.cofactor_inverse_mod(rows, modulus)
+    if inverse is not None:
+        assert g.inv(a) == tuple(v for row in inverse for v in row)
 
 
 @given(st.data())

@@ -1,0 +1,191 @@
+"""What a CLI job loads before it has a datum, the lazy package exports, the
+built-in digest, and the immutable value types that replaced dataclasses."""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import zipcalc
+from zipcalc import (
+    CheckResult,
+    ClassificationPath,
+    RefinementTrace,
+    WittZipConfig,
+    ZipClass,
+    refine_to_stationary,
+)
+from zipcalc.cli import Job
+from zipcalc.groups import CosetBijection, DoubleCoset
+from zipcalc.reports import members_digest
+
+SRC = Path(zipcalc.__file__).resolve().parent.parent
+
+# Run in a fresh interpreter: prints which modules the job loaded beyond
+# those present at start, and which lazy layers have run their body.
+PROBE = """
+import json, sys
+started = set(sys.modules)
+import zipcalc.cli as cli
+from pathlib import Path
+if sys.argv[1] == "load":
+    cli.load_job(Path(sys.argv[2]))
+else:
+    cli.main(["--config", sys.argv[2], "--command", sys.argv[1], "--out", sys.argv[3]])
+markers = {"equivalence": "zip_classes", "forest": "build_forest", "verify": "run_verification",
+           "reports": "members_digest"}
+ran = [name for name, marker in markers.items()
+       if marker in object.__getattribute__(sys.modules["zipcalc." + name], "__dict__")]
+print(json.dumps({"loaded": sorted(set(sys.modules) - started), "ran": ran}))
+"""
+
+HEAVY = {"dataclasses", "inspect", "hashlib", "_hashlib"}
+
+
+def probe(tmp_path, mode):
+    config = tmp_path / "witt22.json"
+    config.write_text(json.dumps({"preset": {"kind": "witt", "p": 2, "n": 2}}), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE, mode, str(config), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_building_a_datum_loads_no_dataclasses_openssl_or_analysis_layer(tmp_path):
+    result = probe(tmp_path, "load")
+    assert not HEAVY & set(result["loaded"])
+    zipcalc_modules = {m for m in result["loaded"] if m.startswith("zipcalc")}
+    assert zipcalc_modules == {
+        "zipcalc", "zipcalc.cli", "zipcalc.groups", "zipcalc.zipdata", "zipcalc.zoo",
+        "zipcalc.equivalence", "zipcalc.forest", "zipcalc.verify", "zipcalc.reports",
+    }
+    assert result["ran"] == []
+
+
+def test_refine_command_runs_only_the_report_layer(tmp_path):
+    result = probe(tmp_path, "refine")
+    assert not HEAVY & set(result["loaded"])
+    assert result["ran"] == ["reports"]
+
+
+# every name the package exported when it imported all its modules eagerly
+EXPORTS = (
+    "CayleyTableGroup FiniteGroup Homomorphism InputError InvariantViolation MatrixGroup "
+    "PermutationGroup Subgroup closure conjugate conjugated_double_coset_map conjugation_hom "
+    "double_coset_of double_cosets full_subgroup hom_from_generator_images identity_hom "
+    "inclusion_hom trivial_hom trivial_subgroup validate_group_laws "
+    "RefinementTrace ZipDatum e_infinity_characterization_check is_tau_surjective refine "
+    "refine_to_stationary same_zip_datum twist twist_refine_identity_check "
+    "ClassReport ZipClass coarsening_check fine_orbits groupoid_equivalence_check "
+    "member_stationary_subgroups refinement_bijection_check torsor_check zip_classes "
+    "ClassificationPath RepForest build_forest classify forest_to_dot limit_bijection_check "
+    "reconstruct WittZipConfig build_small_zoo build_witt_zip zoo_entry CheckResult "
+    "run_verification __version__"
+).split()
+
+
+def test_every_package_export_still_imports():
+    for name in EXPORTS:
+        scope = {}
+        exec(f"from zipcalc import {name}", scope)
+        assert scope[name] is getattr(zipcalc, name), name
+
+
+def test_unknown_package_attribute_raises():
+    with pytest.raises(AttributeError):
+        zipcalc.no_such_name  # noqa: B018
+
+
+class Verbatim:
+    """A stand-in group whose elements are their own text."""
+
+    @staticmethod
+    def format_element(a):
+        return a
+
+
+@given(st.frozensets(st.text(max_size=12), max_size=12))
+def test_members_digest_equals_hashlib_sha256(members):
+    text = ",".join(sorted(members))
+    assert members_digest(Verbatim, members) == hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+# -- the immutable value types, against frozen dataclass twins ---------------------
+
+
+def twin(cls, omit=()):
+    """A frozen dataclass with cls's fields and defaults; fields in omit take
+    no part in ==, hash or repr, as ZipClass.member_witness."""
+    specs = []
+    for name in cls._fields:
+        kwargs = {}
+        if name in cls._defaults:
+            kwargs["default"] = cls._defaults[name]
+        if name in omit:
+            kwargs.update(compare=False, hash=False, repr=False)
+        specs.append((name, object, dataclasses.field(**kwargs)))
+    return dataclasses.make_dataclass(cls.__name__, specs, frozen=True)
+
+
+SAMPLES = [
+    (Job, ("witt", None, "[0,1,1,0]", 3), ("witt", None, "[0,1,1,0]", 4)),
+    (ZipClass, (1, frozenset({1, 2}), None, None, {1: "w"}), (1, frozenset({1}), None, None, {1: "w"})),
+    (ClassificationPath, ((1, 2), "G"), ((1, 3), "G")),
+    (DoubleCoset, (0, frozenset({0, 1})), (1, frozenset({0, 1}))),
+    (CosetBijection, ("d", "e", {0: 1}), ("d", "e", {0: 2})),
+    (RefinementTrace, ((1, 2),), ((1,),)),
+    (CheckResult, ("torsor", True), ("torsor", False, "x")),
+    (WittZipConfig, (2, 2), (3, 2)),
+]
+
+
+@pytest.mark.parametrize("cls, args, other", SAMPLES, ids=[s[0].__name__ for s in SAMPLES])
+def test_value_type_matches_frozen_dataclass(cls, args, other):
+    Twin = twin(cls, omit=("member_witness",))
+    a, b, c = cls(*args), cls(*args), cls(*other)
+    ta, tc = Twin(*args), Twin(*other)
+    assert repr(a) == repr(ta)
+    assert (a == b, a == c) == (True, ta == tc)
+    assert a != ta  # a different class never compares equal
+    try:
+        expected = hash(ta)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) == expected
+    with pytest.raises(AttributeError):
+        setattr(a, cls._fields[0], "changed")
+    with pytest.raises(AttributeError):
+        delattr(a, cls._fields[0])
+    keywords = cls(**dict(zip(cls._fields, args)))
+    assert keywords == a
+    with pytest.raises(TypeError):
+        cls(*args, no_such_field=1)
+    with pytest.raises(TypeError):
+        cls(*args[:-1])  # the last sample argument has no default
+
+
+def test_zip_class_equality_ignores_member_witness():
+    a = ZipClass(1, frozenset({1}), None, None, {1: "w"})
+    assert a == ZipClass(1, frozenset({1}), None, None, {1: "other"})
+    assert "member_witness" not in repr(a)
+
+
+def test_refinement_trace_caches_its_subgroups(witt22):
+    trace = refine_to_stationary(witt22[0])
+    assert trace.e_infinity is trace.e_infinity
+    assert trace.stages is trace.stages
+    with pytest.raises(AttributeError):
+        trace.data = ()
