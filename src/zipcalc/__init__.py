@@ -23,7 +23,6 @@ _EXPORTS = {
         "Subgroup",
         "closure",
         "conjugate",
-        "conjugated_double_coset_map",
         "conjugation_hom",
         "double_coset_of",
         "double_cosets",

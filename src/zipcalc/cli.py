@@ -179,7 +179,9 @@ def load_job(config_path: Path, max_order: int | None = None) -> Job:
         _fail(where, f"cannot read config: {exc}")
     try:
         cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError is a ValueError, and so is an integer literal past
+        # CPython's digit limit; nesting too deep raises RecursionError
         _fail(where, f"invalid JSON: {exc}")
     if not isinstance(cfg, dict):
         _fail(where, "config must be a JSON object")

@@ -152,11 +152,13 @@ def _light_associative(table, gens) -> bool:
 class FiniteGroup:
     """A finite group with an explicit, sorted carrier.
 
-    Subclasses provide ``mul``/``inv`` and the element text format; the base
-    class handles carrier bookkeeping and eager law checks.
+    Subclasses provide ``mul``/``inv``, the element text format and, in
+    ``_space_fields``, the attributes that fix their element space; the base
+    class handles carrier bookkeeping, restriction and eager law checks.
     """
 
     backend = "abstract"
+    _space_fields: tuple = ()
 
     def __init__(self, elements, identity, *, check=True):
         self.elements = tuple(sorted(elements))
@@ -204,7 +206,7 @@ class FiniteGroup:
 
     def space(self) -> tuple:
         """Signature of the element space; equal spaces share element values."""
-        raise NotImplementedError
+        return (self.backend, *(getattr(self, name) for name in self._space_fields))
 
     def format_element(self, a) -> str:
         raise NotImplementedError
@@ -212,15 +214,30 @@ class FiniteGroup:
     def parse_element(self, text: str):
         raise NotImplementedError
 
-    def _copy_backend_fields(self, other):
+    def _check_generator(self, values):
+        """values as an element of the ambient group of the space, Sym(n) or
+        GL_n(Z/m); InputError if they are none."""
         raise NotImplementedError
 
     def restrict(self, members) -> "FiniteGroup":
-        """The same backend operations on a smaller carrier."""
+        """The same backend operations on another carrier in the space."""
         g = object.__new__(type(self))
-        self._copy_backend_fields(g)
+        for name in self._space_fields:
+            setattr(g, name, getattr(self, name))
         FiniteGroup.__init__(g, members, self.identity, check=False)
         return g
+
+    def _generated(self, generators, max_order=None) -> "FiniteGroup":
+        """The subgroup of the space's ambient group that the generators
+        generate, each checked to lie in the ambient group first.
+
+        Its closure is its certificate: a finite set closed under products
+        inside a group is a subgroup, since each of its elements has finite
+        order (Holt, Eick and O'Brien, Handbook of Computational Group
+        Theory, 2005).
+        """
+        gens = [self._check_generator(g) for g in generators]
+        return self.restrict(_mulclose(self.mul, self.identity, gens, limit=max_order)[0])
 
     # -- eager checks ---------------------------------------------------------
 
@@ -284,6 +301,7 @@ class PermutationGroup(FiniteGroup):
     """
 
     backend = "permutation"
+    _space_fields = ("degree",)
 
     def __init__(self, degree, elements, *, check=True):
         self.degree = int(degree)
@@ -297,12 +315,6 @@ class PermutationGroup(FiniteGroup):
         for i, img in enumerate(a):
             out[img] = i
         return tuple(out)
-
-    def space(self):
-        return ("permutation", self.degree)
-
-    def _copy_backend_fields(self, other):
-        other.degree = self.degree
 
     def format_element(self, a) -> str:
         cycles = []
@@ -347,18 +359,16 @@ class PermutationGroup(FiniteGroup):
             raise InputError(f"permutation {text!r} is not in this group")
         return elem
 
+    def _check_generator(self, values):
+        g = _int_tuple(values, "permutation generator")
+        if len(g) != self.degree or sorted(g) != list(range(self.degree)):
+            raise InputError(f"{g} is not a permutation of 0..{self.degree - 1}")
+        return g
+
     @classmethod
     def from_generators(cls, degree, generators, max_order=None):
         degree = int(degree)
-        gens = []
-        for g in generators:
-            g = _int_tuple(g, "permutation generator")
-            if len(g) != degree or sorted(g) != list(range(degree)):
-                raise InputError(f"{g} is not a permutation of 0..{degree - 1}")
-            gens.append(g)
-        identity = tuple(range(degree))
-        mul = lambda a, b: tuple(a[i] for i in b)
-        return cls(degree, _mulclose(mul, identity, gens, limit=max_order)[0])
+        return cls(degree, [tuple(range(degree))], check=False)._generated(generators, max_order)
 
     @classmethod
     def symmetric(cls, degree):
@@ -421,6 +431,7 @@ class MatrixGroup(FiniteGroup):
     """Invertible size x size matrices over Z/modulus, stored row-major."""
 
     backend = "matrix"
+    _space_fields = ("size", "modulus")
 
     def __init__(self, size, modulus, elements, *, check=True):
         self.size = int(size)
@@ -465,13 +476,6 @@ class MatrixGroup(FiniteGroup):
         di = pow(det % m, -1, m)
         return tuple(v * di % m for row in adj for v in row)
 
-    def space(self):
-        return ("matrix", self.size, self.modulus)
-
-    def _copy_backend_fields(self, other):
-        other.size = self.size
-        other.modulus = self.modulus
-
     def format_element(self, a) -> str:
         return "[" + ",".join(str(v) for v in a) + "]"
 
@@ -491,22 +495,22 @@ class MatrixGroup(FiniteGroup):
             raise InputError(f"matrix {text!r} is not in this group")
         return entries
 
+    def _check_generator(self, values):
+        n, m = self.size, self.modulus
+        g = _int_tuple(values, "matrix generator")
+        if len(g) != n * n:
+            raise InputError(f"generator {g} needs {n * n} entries")
+        if not all(0 <= v < m for v in g):
+            raise InputError(f"generator {g} has an entry outside 0..{m - 1}")
+        if gcd(self.det(g), m) != 1:
+            raise InputError(f"generator {self.format_element(g)} is not invertible mod {m}")
+        return g
+
     @classmethod
     def from_generators(cls, size, modulus, generators, max_order=None):
-        size, modulus = int(size), int(modulus)
-        probe = cls(size, modulus, [tuple(1 if i == j else 0 for i in range(size) for j in range(size))], check=False)
-        gens = []
-        for g in generators:
-            g = _int_tuple(g, "matrix generator")
-            if len(g) != size * size:
-                raise InputError(f"generator {g} needs {size * size} entries")
-            if not all(0 <= v < modulus for v in g):
-                raise InputError(f"generator {g} has an entry outside 0..{modulus - 1}")
-            gens.append(g)
-        for g in gens:
-            if gcd(probe.det(g), modulus) != 1:
-                raise InputError(f"generator {probe.format_element(g)} is not invertible mod {modulus}")
-        return cls(size, modulus, _mulclose(probe.mul, probe.identity, gens, limit=max_order)[0])
+        size = int(size)
+        identity = tuple(int(i == j) for i in range(size) for j in range(size))
+        return cls(size, modulus, [identity], check=False)._generated(generators, max_order)
 
     @classmethod
     def general_linear(cls, size, modulus):
@@ -531,6 +535,7 @@ class CayleyTableGroup(FiniteGroup):
     """A group given by an explicit multiplication table on 0..n-1."""
 
     backend = "cayley"
+    _space_fields = ("table", "inv_table")
 
     def __init__(self, table, *, check=True):
         table = tuple(_int_tuple(row, f"Cayley table row {i}") for i, row in enumerate(table))
@@ -542,7 +547,6 @@ class CayleyTableGroup(FiniteGroup):
                 if not 0 <= x < n:
                     raise InputError(f"Cayley table entry {x} outside 0..{n - 1}")
         self.table = table
-        self._table_hash = hash(table)
         identity = None
         for e in range(n):
             if all(table[e][i] == i and table[i][e] == i for i in range(n)):
@@ -559,7 +563,9 @@ class CayleyTableGroup(FiniteGroup):
             if inv_table[i] is None:
                 raise InputError(f"Cayley table element {i} has no inverse")
         self.inv_table = tuple(inv_table)
-        super().__init__(range(n), identity, check=check)
+        # the two scans above certify the identity and inverse laws, so only
+        # the closure certificate (computing S) and Light's test are left
+        super().__init__(range(n), identity, check=False)
         if check and not _light_associative(table, self.generators):
             raise InputError("Cayley table is not associative")
 
@@ -568,14 +574,6 @@ class CayleyTableGroup(FiniteGroup):
 
     def inv(self, a):
         return self.inv_table[a]
-
-    def space(self):
-        return ("cayley", len(self.table), self._table_hash)
-
-    def _copy_backend_fields(self, other):
-        other.table = self.table
-        other.inv_table = self.inv_table
-        other._table_hash = self._table_hash
 
     def format_element(self, a) -> str:
         return str(a)
@@ -785,7 +783,12 @@ def conjugation_hom(group: FiniteGroup, x) -> Homomorphism:
 
 
 def hom_from_generator_images(source: FiniteGroup, target: FiniteGroup, generators, images) -> Homomorphism:
-    """Extend generator images multiplicatively, checking consistency."""
+    """Extend generator images multiplicatively, checking consistency.
+
+    The walk is the homomorphism certificate: it checks f(a*g) = f(a)*f(g)
+    for every a in the source and every given generator g, and that the
+    generators cover the source, so the table needs no second check.
+    """
     generators = list(generators)
     images = list(images)
     if len(generators) != len(images):
@@ -813,7 +816,7 @@ def hom_from_generator_images(source: FiniteGroup, target: FiniteGroup, generato
         frontier = fresh
     if len(table) != source.order:
         raise InputError("generators do not generate the source group")
-    return Homomorphism(source, target, table)
+    return Homomorphism(source, target, table, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -832,10 +835,7 @@ class DoubleCosetDecomposition:
     representative order.
     """
 
-    def __init__(self, ambient, left, right, cosets, rep_of):
-        self.ambient = ambient
-        self.left = left
-        self.right = right
+    def __init__(self, cosets, rep_of):
         self.cosets = cosets
         self.rep_of = rep_of
 
@@ -908,40 +908,4 @@ def double_cosets(ambient: FiniteGroup, left: Subgroup, right: Subgroup) -> Doub
         cosets.append(DoubleCoset(x, frozenset(members)))
     if len(rep_of) != ambient.order:
         raise InvariantViolation("double cosets failed to cover the carrier")
-    return DoubleCosetDecomposition(ambient, left, right, tuple(cosets), rep_of)
-
-
-class CosetBijection(Record):
-    """source and target decompositions, and rep_map between their
-    representatives."""
-
-    __slots__ = _fields = ("source", "target", "rep_map")
-
-
-def conjugated_double_coset_map(d: DoubleCosetDecomposition, x, y) -> CosetBijection:
-    """The coset-level bijection induced by g -> x*g*y^-1, fully certified.
-
-    Well-definedness and the inverse g -> x^-1*g*y are both checked on every
-    carrier element; a failure raises InvariantViolation.
-    """
-    amb = d.ambient
-    if x not in amb or y not in amb:
-        raise InputError("conjugating elements outside the ambient carrier")
-    target = double_cosets(amb, conjugate(d.left, x), conjugate(d.right, y))
-    yinv = amb.inv(y)
-    xinv = amb.inv(x)
-    rep_map = {}
-    for coset in d.cosets:
-        images = {target.rep_of[amb.mul(amb.mul(x, g), yinv)] for g in coset.members}
-        if len(images) != 1:
-            raise InvariantViolation("conjugated coset map is not well-defined")
-        rep_map[coset.representative] = images.pop()
-    for coset in target.cosets:
-        back = {d.rep_of[amb.mul(amb.mul(xinv, g), y)] for g in coset.members}
-        if len(back) != 1:
-            raise InvariantViolation("inverse coset map is not well-defined")
-        if rep_map.get(back.pop()) != coset.representative:
-            raise InvariantViolation("conjugated coset maps do not invert each other")
-    if sorted(rep_map.values()) != sorted(target.representatives()):
-        raise InvariantViolation("conjugated coset map is not a bijection")
-    return CosetBijection(d, target, rep_map)
+    return DoubleCosetDecomposition(tuple(cosets), rep_of)

@@ -13,13 +13,11 @@ homomorphism of finite groups.
 
 from __future__ import annotations
 
-import itertools
-from math import gcd
-
 from .groups import (
     CayleyTableGroup,
     Homomorphism,
     InputError,
+    InvariantViolation,
     MatrixGroup,
     PermutationGroup,
     Record,
@@ -72,14 +70,6 @@ class WittZipConfig(Record):
         return p ** (4 * (n - 2)) * (p * p - 1) * (p * p - p)
 
 
-def _matrices_with_divisible_lower_left(modulus: int, divisor: int) -> list:
-    out = []
-    for a, b, c, d in itertools.product(range(modulus), repeat=4):
-        if c % divisor == 0 and gcd((a * d - b * c) % modulus, modulus) == 1:
-            out.append((a, b, c, d))
-    return out
-
-
 def witt_sigma_table(E: MatrixGroup, G: MatrixGroup, p: int) -> dict:
     """The table of sigma: (a, b, c, d) -> (a, p*b, c/p, d) one level down.
 
@@ -105,13 +95,22 @@ def witt_sigma_table(E: MatrixGroup, G: MatrixGroup, p: int) -> dict:
 def build_witt_zip(config: WittZipConfig) -> tuple:
     """The Witt-model zip datum and its distinguished twist element.
 
-    Returns (datum, antidiagonal(1, 1) in G).  Construction validates that
-    the divided conjugation is a well-defined homomorphism.
+    Returns (datum, antidiagonal(1, 1) in G).  E is generated by the upper
+    and lower unipotents [1,1,0,1] and [1,0,p,1] and the diagonal units
+    diag(u, 1), diag(1, u): over the local ring Z/p^n a matrix with
+    lower-left entry in pZ has unit diagonal entries, so it factors as
+    lower unipotent * diagonal * upper unipotent.  Construction validates
+    that the divided conjugation is a well-defined homomorphism.
     """
     p, n = config.p, config.n
     pn = p**n
     m = p ** (n - 1)
-    E = MatrixGroup(2, pn, _matrices_with_divisible_lower_left(pn, p))
+    units = [u for u in range(1, pn) if u % p]
+    E = MatrixGroup.from_generators(
+        2, pn, [(1, 1, 0, 1), (1, 0, p, 1)] + [(u, 0, 0, 1) for u in units] + [(1, 0, 0, u) for u in units]
+    )
+    if E.order != config.e_order:
+        raise InvariantViolation(f"Witt E has order {E.order}, expected {config.e_order}")
     G = MatrixGroup.general_linear(2, m)
     tau = Homomorphism(E, G, {e: tuple(v % m for v in e) for e in E})
     sigma = Homomorphism(E, G, witt_sigma_table(E, G, p))

@@ -164,13 +164,12 @@ def naive_torsor_check(z, x):
     return True
 
 
-def brute_force_gl2_carrier(modulus):
-    """All invertible 2x2 matrices over Z/modulus, checked by 2x2 determinant."""
-    from math import gcd
-
+def brute_force_gl2_carrier(modulus, divisor=1):
+    """All invertible 2x2 matrices over Z/modulus with lower-left entry
+    divisible by divisor, by a sweep over every entry quadruple."""
     out = []
     for a, b, c, d in itertools.product(range(modulus), repeat=4):
-        if gcd((a * d - b * c) % modulus, modulus) == 1:
+        if c % divisor == 0 and math.gcd((a * d - b * c) % modulus, modulus) == 1:
             out.append((a, b, c, d))
     return out
 

@@ -69,6 +69,23 @@ def test_cayley_group_and_table_hom(tmp_path, capsys):
     assert code == EXIT_OK
 
 
+def test_identity_hom_between_different_cayley_tables_exits_two(tmp_path, capsys):
+    xor = [[i ^ j for j in range(4)] for i in range(4)]
+    cyclic = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    cfg = write_config(
+        tmp_path,
+        "tables.json",
+        {
+            "groups": {"E": {"backend": "cayley", "table": cyclic}, "G": {"backend": "cayley", "table": xor}},
+            "tau": {"type": "identity"},
+            "sigma": {"type": "trivial"},
+        },
+    )
+    code, _, err = run(capsys, "--config", str(cfg), "--command", "classes")
+    assert code == EXIT_CONFIG
+    assert err == f"config error: {cfg}.tau: identity hom needs E and G with the same carrier\n"
+
+
 def test_generator_images_hom(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -117,12 +134,17 @@ def test_zoo_preset_config(tmp_path, capsys):
 # -- error paths -----------------------------------------------------------------
 
 
-def test_invalid_json_names_config_path(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text",
+    ["{nope", "[" * 200000, '{"seed": ' + "1" * 5000 + "}"],
+    ids=["syntax", "nested-too-deep", "integer-over-digit-limit"],
+)
+def test_invalid_json_names_config_path(tmp_path, capsys, text):
     path = tmp_path / "broken.json"
-    path.write_text("{nope", encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     code, _, err = run(capsys, "--config", str(path), "--command", "classes")
     assert code == EXIT_CONFIG
-    assert "broken.json" in err
+    assert err.startswith(f"config error: {path}: invalid JSON: ")
 
 
 def test_bad_element_literal_names_field(tmp_path, capsys):

@@ -16,7 +16,6 @@ from zipcalc import (
     Subgroup,
     closure,
     conjugate,
-    conjugated_double_coset_map,
     double_cosets,
     full_subgroup,
     hom_from_generator_images,
@@ -55,6 +54,21 @@ def test_group_laws_all_backends(s3, gl2f2, c2cube):
 def test_gl2f2_matches_brute_force(gl2f2):
     assert gl2f2.order == 6
     assert gl2f2.element_set == frozenset(oracles.brute_force_gl2_carrier(2))
+
+
+FROM_GENERATORS = {
+    "s4": (PermutationGroup, (4,), [(1, 0, 2, 3), (1, 2, 3, 0)], 24),
+    "gl2f2": (MatrixGroup, (2, 2), [(1, 1, 0, 1), (0, 1, 1, 0)], 6),
+    "gl3f2": (MatrixGroup, (3, 2), [(0, 1, 0, 0, 0, 1, 1, 0, 0), (1, 1, 0, 0, 1, 0, 0, 0, 1)], 168),
+}
+
+
+@pytest.mark.parametrize("name", FROM_GENERATORS)
+def test_from_generators_carrier_is_the_naive_closure(name):
+    cls, space, gens, order = FROM_GENERATORS[name]
+    group = cls.from_generators(*space, gens)
+    assert group.order == order
+    assert group.element_set == oracles.naive_closure(group, gens)
 
 
 def test_permutation_mul_applies_right_factor_first(s3):
@@ -322,35 +336,6 @@ def test_double_cosets_partition(s4, data):
     assert oracles.naive_double_cosets(s4, left.elements, right.elements) == sorted(
         (c.representative, c.members) for c in dec.cosets
     )
-
-
-def test_conjugated_double_coset_map_identity(s3):
-    sub = closure(s3, [(1, 0, 2)])
-    dec = double_cosets(s3, sub, sub)
-    bij = conjugated_double_coset_map(dec, s3.identity, s3.identity)
-    assert bij.rep_map == {c.representative: c.representative for c in dec.cosets}
-
-
-def test_conjugated_double_coset_map_trivial_subgroups(s3):
-    dec = double_cosets(s3, trivial_subgroup(s3), trivial_subgroup(s3))
-    x, y = (1, 2, 0), (1, 0, 2)
-    bij = conjugated_double_coset_map(dec, x, y)
-    for g in s3.elements:
-        assert bij.rep_map[g] == s3.mul(s3.mul(x, g), s3.inv(y))
-
-
-def test_conjugated_double_coset_map_borel(gl2f2):
-    borel = closure(gl2f2, [(1, 1, 0, 1)])
-    dec = double_cosets(gl2f2, borel, borel)
-    w = (0, 1, 1, 0)
-    bij = conjugated_double_coset_map(dec, w, w)
-    lower = conjugate(borel, w)
-    expected = double_cosets(gl2f2, lower, lower)
-    assert sorted(len(c.members) for c in expected.cosets) == [2, 4]
-    # cardinalities preserved coset by coset
-    target_size = {c.representative: len(c.members) for c in bij.target.cosets}
-    for coset in dec.cosets:
-        assert len(coset.members) == target_size[bij.rep_map[coset.representative]]
 
 
 def test_subgroup_validate_catches_non_subgroup(s3):

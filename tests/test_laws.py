@@ -7,7 +7,9 @@ reject exactly when the oracle does.
 
 from __future__ import annotations
 
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -174,6 +176,13 @@ def test_loop_rejected_by_battery_and_constructor():
     assert not oracles.naive_is_group_table(LOOP5)
     with pytest.raises(InputError):
         validate_group_laws(CayleyTableGroup(LOOP5, check=False))
+
+
+def test_oracles_import_nothing_from_zipcalc():
+    tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
+    modules = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+    modules += [node.module or "." for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert modules and not [m for m in modules if m.split(".")[0] in ("zipcalc", "")]
 
 
 def test_generators_generate(groups):

@@ -5,6 +5,7 @@ import pytest
 import oracles
 from zipcalc import (
     InputError,
+    InvariantViolation,
     WittZipConfig,
     build_small_zoo,
     build_witt_zip,
@@ -38,22 +39,26 @@ def test_witt22_orders(witt22):
     z, x = witt22
     assert z.G.order == 6
     # invertible over Z/4 with even lower-left, counted by enumeration
-    expected = [
-        m
-        for m in oracles.brute_force_gl2_carrier(4)
-        if m[2] % 2 == 0
-    ]
+    expected = oracles.brute_force_gl2_carrier(4, 2)
     assert z.E.order == len(expected) == 32
     assert z.E.element_set == frozenset(expected)
     assert x == (0, 1, 1, 0)
     assert x in z.G
 
 
-@pytest.mark.parametrize("p, n", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("p, n", [(2, 2), (2, 3), (3, 2), (2, 4)])
 def test_witt_closed_form_orders(p, n):
     config = WittZipConfig(p, n)
     z, _ = build_witt_zip(config)
     assert (config.e_order, config.g_order) == (z.E.order, z.G.order)
+    # E is generated, not swept: it must still be the whole congruence subgroup
+    assert z.E.element_set == frozenset(oracles.brute_force_gl2_carrier(p**n, p))
+
+
+def test_witt_e_order_is_checked_against_the_closed_form(monkeypatch):
+    monkeypatch.setattr(WittZipConfig, "e_order", property(lambda self: 31))
+    with pytest.raises(InvariantViolation, match="Witt E has order 32, expected 31"):
+        build_witt_zip(WittZipConfig(2, 2))
 
 
 def test_witt_sigma_fixes_identity(witt22, witt23):
