@@ -32,7 +32,6 @@ _EXPORTS = {
         "inclusion_hom",
         "trivial_hom",
         "trivial_subgroup",
-        "validate_group_laws",
     ),
     "zipdata": (
         "RefinementTrace",

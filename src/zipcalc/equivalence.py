@@ -182,6 +182,8 @@ def refinement_bijection_check(z: ZipDatum, x, *, coarse: ClassReport | None = N
         raise InputError("element outside the carrier of G")
     if coarse is None:
         coarse = zip_classes(z)
+    elif coarse.datum is not z:
+        raise InputError("coarse report belongs to a different zip datum")
     z1x = refine(twist(z, x))
     sub = zip_classes(z1x)
     carrier_x = frozenset(G.mul(g, x) for g in z1x.G.elements)
@@ -215,6 +217,8 @@ def torsor_check(z: ZipDatum, x, *, report: ClassReport | None = None) -> bool:
     G = z.G
     if x not in G:
         raise InputError("element outside the carrier of G")
+    if report is not None and report.datum is not z:
+        raise InputError("report belongs to a different zip datum")
     trace = refine_to_stationary(twist(z, x))
     ginf = trace.g_infinity.elements
 

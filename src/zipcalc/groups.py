@@ -154,13 +154,15 @@ class FiniteGroup:
 
     Subclasses provide ``mul``/``inv``, the element text format and, in
     ``_space_fields``, the attributes that fix their element space; the base
-    class handles carrier bookkeeping, restriction and eager law checks.
+    class handles carrier bookkeeping, restriction and the closure
+    certificate.  Each backend constructor certifies its carrier; ``restrict``
+    is the one path that does not, for carriers already known to be groups.
     """
 
     backend = "abstract"
     _space_fields: tuple = ()
 
-    def __init__(self, elements, identity, *, check=True):
+    def __init__(self, elements, identity):
         self.elements = tuple(sorted(elements))
         self.element_set = frozenset(self.elements)
         if len(self.elements) != len(self.element_set):
@@ -168,9 +170,6 @@ class FiniteGroup:
         self.identity = identity
         if identity not in self.element_set:
             raise InputError("identity is missing from the carrier")
-        if check:
-            self._check_identity_inverse()
-            self.generators  # certifies closure
 
     # -- group operations ---------------------------------------------------
 
@@ -224,7 +223,7 @@ class FiniteGroup:
         g = object.__new__(type(self))
         for name in self._space_fields:
             setattr(g, name, getattr(self, name))
-        FiniteGroup.__init__(g, members, self.identity, check=False)
+        FiniteGroup.__init__(g, members, self.identity)
         return g
 
     def _generated(self, generators, max_order=None) -> "FiniteGroup":
@@ -264,30 +263,6 @@ class FiniteGroup:
             for s in self.generators
         )
 
-    def _check_identity_inverse(self):
-        e = self.identity
-        for a in self.elements:
-            if self.mul(e, a) != a or self.mul(a, e) != a:
-                raise InputError(f"identity law fails at {self.format_element(a)}")
-            b = self.inv(a)
-            if b not in self.element_set or self.mul(a, b) != e or self.mul(b, a) != e:
-                raise InputError(f"inverse law fails at {self.format_element(a)}")
-
-
-def validate_group_laws(group: FiniteGroup):
-    """Full law battery: identity, inverses, closure, associativity.
-
-    Closure is certified over the greedy generating set and associativity by
-    Light's test over the multiplication table, in O(n^2 * |S|) lookups.
-    """
-    group._check_identity_inverse()
-    gens = group.generators
-    els = group.elements
-    index = {a: i for i, a in enumerate(els)}
-    table = tuple(tuple(index[group.mul(a, b)] for b in els) for a in els)
-    if not _light_associative(table, [index[s] for s in gens]):
-        raise InputError("multiplication is not associative")
-
 
 # ---------------------------------------------------------------------------
 # permutation backend
@@ -303,9 +278,12 @@ class PermutationGroup(FiniteGroup):
     backend = "permutation"
     _space_fields = ("degree",)
 
-    def __init__(self, degree, elements, *, check=True):
+    def __init__(self, degree, elements):
         self.degree = int(degree)
-        super().__init__(elements, tuple(range(self.degree)), check=check)
+        if self.degree < 0:
+            raise InputError("permutation backend needs degree >= 0")
+        super().__init__(map(self._check_generator, elements), tuple(range(self.degree)))
+        self.generators  # certifies closure, as in _generated
 
     def mul(self, a, b):
         return tuple(a[i] for i in b)
@@ -368,28 +346,18 @@ class PermutationGroup(FiniteGroup):
     @classmethod
     def from_generators(cls, degree, generators, max_order=None):
         degree = int(degree)
-        return cls(degree, [tuple(range(degree))], check=False)._generated(generators, max_order)
+        return cls(degree, [tuple(range(degree))])._generated(generators, max_order)
 
     @classmethod
     def symmetric(cls, degree):
         if degree > 8:
             raise InputError("symmetric group carrier too large to enumerate")
-        return cls(degree, itertools.permutations(range(degree)), check=False)
+        return cls(degree, [tuple(range(degree))]).restrict(itertools.permutations(range(degree)))
 
 
 # ---------------------------------------------------------------------------
 # matrix backend
 # ---------------------------------------------------------------------------
-
-
-def _int_det(rows):
-    """Exact determinant of a square integer matrix."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    return _bareiss(rows)[0]
 
 
 def _bareiss(rows, adjugate=False):
@@ -433,14 +401,15 @@ class MatrixGroup(FiniteGroup):
     backend = "matrix"
     _space_fields = ("size", "modulus")
 
-    def __init__(self, size, modulus, elements, *, check=True):
+    def __init__(self, size, modulus, elements):
         self.size = int(size)
         self.modulus = int(modulus)
         if self.size < 1 or self.modulus < 2:
             raise InputError("matrix backend needs size >= 1 and modulus >= 2")
         n = self.size
         identity = tuple(1 if i == j else 0 for i in range(n) for j in range(n))
-        super().__init__(elements, identity, check=check)
+        super().__init__(map(self._check_generator, elements), identity)
+        self.generators  # certifies closure, as in _generated
 
     def mul(self, a, b):
         m = self.modulus
@@ -462,8 +431,10 @@ class MatrixGroup(FiniteGroup):
 
     def det(self, a) -> int:
         n = self.size
-        rows = [list(a[i * n : (i + 1) * n]) for i in range(n)]
-        return _int_det(rows) % self.modulus
+        if n == 2:
+            a0, a1, a2, a3 = a
+            return (a0 * a3 - a1 * a2) % self.modulus
+        return _bareiss([a[i * n : (i + 1) * n] for i in range(n)])[0] % self.modulus
 
     def inv(self, a):
         m = self.modulus
@@ -510,7 +481,7 @@ class MatrixGroup(FiniteGroup):
     def from_generators(cls, size, modulus, generators, max_order=None):
         size = int(size)
         identity = tuple(int(i == j) for i in range(size) for j in range(size))
-        return cls(size, modulus, [identity], check=False)._generated(generators, max_order)
+        return cls(size, modulus, [identity])._generated(generators, max_order)
 
     @classmethod
     def general_linear(cls, size, modulus):
@@ -518,12 +489,9 @@ class MatrixGroup(FiniteGroup):
         size, modulus = int(size), int(modulus)
         if modulus ** (size * size) > 5_000_000:
             raise InputError("general linear carrier too large to enumerate")
-        carrier = []
-        for entries in itertools.product(range(modulus), repeat=size * size):
-            rows = [list(entries[i * size : (i + 1) * size]) for i in range(size)]
-            if gcd(_int_det(rows) % modulus, modulus) == 1:
-                carrier.append(entries)
-        return cls(size, modulus, carrier, check=False)
+        trivial = cls(size, modulus, [tuple(int(i == j) for i in range(size) for j in range(size))])
+        entries = itertools.product(range(modulus), repeat=size * size)
+        return trivial.restrict(a for a in entries if gcd(trivial.det(a), modulus) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +505,7 @@ class CayleyTableGroup(FiniteGroup):
     backend = "cayley"
     _space_fields = ("table", "inv_table")
 
-    def __init__(self, table, *, check=True):
+    def __init__(self, table):
         table = tuple(_int_tuple(row, f"Cayley table row {i}") for i, row in enumerate(table))
         n = len(table)
         for i, row in enumerate(table):
@@ -565,8 +533,8 @@ class CayleyTableGroup(FiniteGroup):
         self.inv_table = tuple(inv_table)
         # the two scans above certify the identity and inverse laws, so only
         # the closure certificate (computing S) and Light's test are left
-        super().__init__(range(n), identity, check=False)
-        if check and not _light_associative(table, self.generators):
+        super().__init__(range(n), identity)
+        if not _light_associative(table, self.generators):
             raise InputError("Cayley table is not associative")
 
     def mul(self, a, b):
@@ -647,14 +615,12 @@ class Subgroup:
         return self._as_group
 
     def validate(self):
-        """Check identity membership, closure under inverse, and the closure
-        certificate: the greedy generators' closure stays inside and covers."""
-        amb = self.ambient
-        if amb.identity not in self.members:
+        """Check identity membership and the closure certificate: the greedy
+        generators' closure stays inside and covers.  The ambient group is
+        certified, so a finite subset closed under its products holds each
+        inverse as a power."""
+        if self.ambient.identity not in self.members:
             raise InputError("subgroup does not contain the identity")
-        for a in self.elements:
-            if amb.inv(a) not in self.members:
-                raise InputError("subgroup not closed under inverse")
         self.generating_set  # raises once a product leaves the members
 
 

@@ -310,6 +310,12 @@ def _table_sigma(literal):
              "tau": {"type": "trivial"}, "sigma": {"type": "trivial"}},
             id="cayley-entry-float",
         ),
+        pytest.param(
+            {"groups": {"E": {"backend": "permutation", "degree": -3, "generators": []},
+                        "G": {"backend": "permutation", "degree": -3, "generators": []}},
+             "tau": {"type": "trivial"}, "sigma": {"type": "trivial"}},
+            id="permutation-degree-negative",
+        ),
     ],
 )
 def test_parse_failures_exit_two_naming_the_config(tmp_path, capsys, payload):

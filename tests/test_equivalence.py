@@ -152,6 +152,16 @@ def test_coarsening_rejects_mismatched_reports(zoo):
         coarsening_check(fine, coarse)
 
 
+def test_checks_refuse_a_report_of_another_datum(zoo):
+    z = zoo["s3-reflection-pair"]
+    other = zip_classes(zoo["trivial-e"])
+    for x in z.G.elements:
+        with pytest.raises(InputError):
+            torsor_check(z, x, report=other)
+        with pytest.raises(InputError):
+            refinement_bijection_check(z, x, coarse=other)
+
+
 def test_strict_coarsening_exists_somewhere(zoo):
     # at least one corpus datum separates the two relations
     strict = [

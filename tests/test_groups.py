@@ -23,7 +23,6 @@ from zipcalc import (
     inclusion_hom,
     trivial_hom,
     trivial_subgroup,
-    validate_group_laws,
 )
 
 
@@ -48,7 +47,9 @@ def test_symmetric_group_carrier(s3):
 
 def test_group_laws_all_backends(s3, gl2f2, c2cube):
     for group in (s3, gl2f2, c2cube):
-        validate_group_laws(group)
+        index = {a: i for i, a in enumerate(group.elements)}
+        table = [[index[group.mul(a, b)] for b in group.elements] for a in group.elements]
+        assert oracles.naive_is_group_table(table)
 
 
 def test_gl2f2_matches_brute_force(gl2f2):
@@ -86,7 +87,7 @@ def test_matrix_inverse_matches_identity():
 
 def test_matrix_3x3_inverse():
     g = MatrixGroup.from_generators(3, 2, [(0, 1, 0, 0, 0, 1, 1, 0, 0), (1, 1, 0, 0, 1, 0, 0, 0, 1)])
-    validate_group_laws(g)
+    MatrixGroup(3, 2, g.elements)  # certifies the carrier as a subgroup of GL3(F2)
     for a in g.elements:
         assert g.mul(a, g.inv(a)) == g.identity
 
@@ -97,7 +98,7 @@ def test_matrix_det_and_inverse_match_cofactor_oracle(data):
     size = data.draw(st.integers(1, 5), label="size")
     modulus = data.draw(st.integers(2, 12), label="modulus")
     a = tuple(data.draw(st.lists(st.integers(0, modulus - 1), min_size=size * size, max_size=size * size)))
-    g = MatrixGroup(size, modulus, [tuple(int(i == j) for i in range(size) for j in range(size))], check=False)
+    g = MatrixGroup(size, modulus, [tuple(int(i == j) for i in range(size) for j in range(size))])
     rows = [list(a[i * size : (i + 1) * size]) for i in range(size)]
     assert g.det(a) == oracles.cofactor_det(rows) % modulus
     inverse = oracles.cofactor_inverse_mod(rows, modulus)
