@@ -51,6 +51,7 @@ _EXPORTS = {
         "fine_orbits",
         "groupoid_equivalence_check",
         "member_stationary_subgroups",
+        "member_witness",
         "refinement_bijection_check",
         "torsor_check",
         "zip_classes",

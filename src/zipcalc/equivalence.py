@@ -10,12 +10,14 @@ between refined twists by elements of one double coset.
 
 The action factors through the pair group P = {(tau(e), sigma(e))} <= G x G
 of the datum (see zipdata): e.g = a * g * b^-1 for the pair (a, b) of e, and
-E -> P is onto with kernel K = ker tau ∩ ker sigma.  So classes are expanded
-over generators of P, the torsor check runs on P x G_inf^x under the
+E -> P is onto with kernel K = ker tau ∩ ker sigma.  So a class is the orbit
+under P, walked over its generators by groups._orbit, of {x} (fine) or of
+G_inf^x * x (coarse), as a double coset is of {x}, and groups._partition
+splits G into classes.  The torsor check runs on P x G_inf^x under the
 stationary pair group, with fibers of size |P_inf^x| instead of |E_inf^x|,
 and the groupoid check compares pair-stabilizer counts, both sides sharing
-the root's K.  Elements of E appear only in the member witnesses of a class
-and where a check is stated on them.
+the root's K.  Elements of E appear only in member_witness and where a check
+is stated on them.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .groups import InputError, InvariantViolation, Record, Subgroup, conjugate, double_coset_of
+from .groups import _orbit, _partition
 from .zipdata import ZipDatum, refine, refine_to_stationary, twist
 
 
@@ -30,13 +33,10 @@ class ZipClass(Record):
     """One equivalence class: key-minimal witness, members, per-witness data.
 
     ``e_infinity`` and ``g_infinity`` are the witness's stationary subgroups
-    (None for fine orbits).  ``member_witness[y] = (e, g)`` records
-    y = tau(e) * g * witness * sigma(e)^-1 (fine orbits carry e only, with g
-    fixed to the identity); it takes no part in ==, hash or repr.
+    (None for fine orbits).
     """
 
-    __slots__ = _fields = ("witness", "members", "e_infinity", "g_infinity", "member_witness")
-    _compared = _fields[:-1]
+    __slots__ = _fields = ("witness", "members", "e_infinity", "g_infinity")
 
     @property
     def size(self) -> int:
@@ -44,28 +44,26 @@ class ZipClass(Record):
 
 
 class ClassReport:
-    """A partition of the carrier of G under one of the two relations."""
+    """A partition of the carrier of G under one of the two relations;
+    ``rep_of`` maps each element to the witness of its class."""
 
-    def __init__(self, datum: ZipDatum, relation: str, classes: tuple):
+    def __init__(self, datum: ZipDatum, relation: str, classes: tuple, rep_of: dict):
         self.datum = datum
         self.relation = relation
         self.classes = classes
+        self.rep_of = rep_of
 
     @property
     def class_count(self) -> int:
         return len(self.classes)
 
     @cached_property
-    def _class_index(self) -> dict:
-        idx = {}
-        for i, c in enumerate(self.classes):
-            for m in c.members:
-                idx[m] = i
-        return idx
+    def _class_by_witness(self) -> dict:
+        return {c.witness: c for c in self.classes}
 
     def class_of(self, x) -> ZipClass:
         try:
-            return self.classes[self._class_index[x]]
+            return self._class_by_witness[self.rep_of[x]]
         except KeyError:
             raise InputError("element outside the carrier of G") from None
 
@@ -76,82 +74,62 @@ class ClassReport:
         return f"<ClassReport {self.relation} classes={self.class_count}>"
 
 
-def _expand(z: ZipDatum, seeds: dict) -> dict:
-    """Close a seeded member->witness map under the pair-group generators.
-
-    seeds maps y -> (e, g) with y = tau(e) * g * x * sigma(e)^-1; applying a
-    generator pair (a, b) with witness w maps y to a*y*b^-1 and composes the
-    e-part with w on the left.
-    """
-    G, E = z.G, z.E
-    gens = z.action_generators
-    members = dict(seeds)
-    frontier = list(seeds)
-    while frontier:
-        fresh = []
-        for y in frontier:
-            e_y, g_y = members[y]
-            for a, binv, w in gens:
-                out = G.mul(G.mul(a, y), binv)
-                if out not in members:
-                    members[out] = (E.mul(w, e_y), g_y)
-                    fresh.append(out)
-        frontier = fresh
-    return members
+def _class_moves(z: ZipDatum) -> list:
+    """y -> a * y * b^-1 for each generator (a, b) of the pair group."""
+    mul = z.G.mul
+    return [lambda y, a=a, binv=binv: mul(mul(a, y), binv) for a, binv in z.action_generators]
 
 
-def _coarse_seeds(z: ZipDatum, x, ginf: Subgroup) -> dict:
-    """g * x -> (1, g) for g in G_inf^x, keeping the key-minimal g per member."""
-    seeds = {}
-    for g in ginf:
-        seeds.setdefault(z.G.mul(g, x), (z.E.identity, g))
-    return seeds
-
-
-def _partition(z: ZipDatum, relation: str, class_data) -> ClassReport:
-    """Expand the class of each key-minimal unclassified witness x in turn;
-    class_data(x) gives its seeds and stationary subgroups (or None).  The
-    partition property is asserted, not assumed."""
-    classified = {}
-    classes = []
-    for x in z.G.elements:
-        if x in classified:
-            continue
-        seeds, einf, ginf = class_data(x)
-        members = _expand(z, seeds)
-        if not classified.keys().isdisjoint(members):
-            raise InvariantViolation(f"{relation} classes failed to form a partition")
-        for y in members:
-            classified[y] = x
-        classes.append(ZipClass(x, frozenset(members), einf, ginf, members))
-    if len(classified) != z.G.order:
-        raise InvariantViolation(f"{relation} classes failed to cover the carrier")
-    return ClassReport(z, relation, tuple(classes))
+def _coarse_class(z: ZipDatum, x, ginf: Subgroup, moves) -> frozenset:
+    """{ a * g * x * b^-1 : (a, b) in P, g in G_inf^x }, the orbit of G_inf^x * x."""
+    return frozenset(_orbit([z.G.mul(g, x) for g in ginf.members], moves))
 
 
 def fine_orbits(z: ZipDatum) -> ClassReport:
     """Orbits of e.g = tau(e) * g * sigma(e)^-1 on the carrier of G."""
-    return _partition(z, "fine-orbit", lambda x: ({x: (z.E.identity, z.G.identity)}, None, None))
+    moves = _class_moves(z)
+    classes, rep_of = _partition(z.G.elements, lambda x: ZipClass(x, frozenset(_orbit([x], moves)), None, None))
+    return ClassReport(z, "fine-orbit", classes, rep_of)
 
 
 def zip_classes(z: ZipDatum) -> ClassReport:
     """The coarse partition of G, one stationary-refinement run per witness:
     the class of x is { tau(e) * g * x * sigma(e)^-1 : e in E, g in G_inf^x }."""
+    moves = _class_moves(z)
 
     def coarse(x):
         trace = refine_to_stationary(twist(z, x))
-        return _coarse_seeds(z, x, trace.g_infinity), trace.e_infinity, trace.g_infinity
+        ginf = trace.g_infinity
+        return ZipClass(x, _coarse_class(z, x, ginf, moves), trace.e_infinity, ginf)
 
-    return _partition(z, "zip-coarse", coarse)
+    classes, rep_of = _partition(z.G.elements, coarse)
+    return ClassReport(z, "zip-coarse", classes, rep_of)
+
+
+def member_witness(report: ClassReport, y) -> tuple:
+    """(e, g) with y = tau(e) * g * x * sigma(e)^-1, x the witness of y's
+    class and g in G_inf^x (g = 1 for fine orbits), found on demand: from the
+    first pair (a, b) of action_pairs whose g = a^-1 * y * b * x^-1 qualifies,
+    with e the pair's key-minimal element of E."""
+    c = report.class_of(y)
+    z = report.datum
+    G = z.G
+    allowed = c.g_infinity.members if c.g_infinity is not None else {G.identity}
+    xinv = G.inv(c.witness)
+    for a, b, e in z.action_pairs:
+        g = G.mul(G.mul(G.inv(a), y), G.mul(b, xinv))
+        if g in allowed:
+            return e, g
+    raise InvariantViolation("class member has no witness pair")
 
 
 def member_stationary_subgroups(report: ClassReport, y) -> tuple:
-    """(E_inf^y, G_inf^y) transported from the class witness via y's recorded
+    """(E_inf^y, G_inf^y) transported from the class witness via y's
     witness pair, using the conjugation identity of the coarse relation."""
     c = report.class_of(y)
     if c.e_infinity is None:
         raise InputError("fine-orbit reports carry no stationary subgroups")
-    e, _ = c.member_witness[y]
+    e, _ = member_witness(report, y)
     z = report.datum
     einf_y = conjugate(Subgroup(z.E, c.e_infinity.members), e)
     ginf_y = Subgroup(z.G, frozenset(z.tau(h) for h in einf_y.members))
@@ -225,7 +203,7 @@ def torsor_check(z: ZipDatum, x, *, report: ClassReport | None = None) -> bool:
     if report is not None:
         class_members = report.class_of(x).members
     else:
-        class_members = frozenset(_expand(z, _coarse_seeds(z, x, trace.g_infinity)))
+        class_members = _coarse_class(z, x, trace.g_infinity, _class_moves(z))
 
     pairs = [(a, b) for a, b, _ in z.action_pairs]
     index = {p: i for i, p in enumerate(pairs)}
@@ -293,11 +271,15 @@ def groupoid_equivalence_check(z: ZipDatum, x, y, e, e_tilde) -> bool:
         return False
     if frozenset(psi_g.values()) != zy1.G.element_set:
         return False
+
+    def with_inverse(a, b):  # pairs are stored as (a, b^-1): act inverts nothing
+        return a, G.inv(b)
+
     # psi_e on one witness per pair of zx1, as a map of pairs
-    psi_pair = {(a, b): zy1.pair_of(psi_e[w]) for a, b, w in zx1.action_pairs}
+    psi_pair = {with_inverse(a, b): with_inverse(*zy1.pair_of(psi_e[w])) for a, b, w in zx1.action_pairs}
 
     def act(pair, g):
-        return G.mul(G.mul(pair[0], g), G.inv(pair[1]))
+        return G.mul(G.mul(pair[0], g), pair[1])
 
     for p, q in psi_pair.items():
         for g in zx1.G:
@@ -315,7 +297,7 @@ def groupoid_equivalence_check(z: ZipDatum, x, y, e, e_tilde) -> bool:
     if len(image_witnesses) != oy.class_count:
         return False
 
-    y_pairs = [(a, b) for a, b, _ in zy1.action_pairs]
+    y_pairs = [with_inverse(a, b) for a, b, _ in zy1.action_pairs]
     for g in zx1.G:
         pg = psi_g[g]
         stab_g = [p for p in psi_pair if act(p, g) == g]

@@ -41,14 +41,12 @@ class Record:
 
     A subclass names its fields in ``_fields`` (positional order, also its
     ``__slots__``) and the defaults of trailing fields in ``_defaults``.
-    ==, hash and repr run over ``_compared``, which is ``_fields`` unless
-    the subclass narrows it.  Assignment raises AttributeError.
+    ==, hash and repr run over the fields.  Assignment raises AttributeError.
     """
 
     __slots__ = ()
     _fields: tuple = ()
     _defaults: dict = {}
-    _compared: tuple | None = None
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -74,7 +72,7 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._compared or self._fields)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -85,7 +83,7 @@ class Record:
         return hash(self._values())
 
     def __repr__(self):
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._compared or self._fields, self._values()))
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
         return f"{type(self).__qualname__}({fields})"
 
 
@@ -132,6 +130,39 @@ def _mulclose(mul, identity, candidates, carrier=None, limit=None):
                 members.update(coset)
                 reps.append(y)
     return members, tuple(gens)
+
+
+def _orbit(seeds, moves) -> set:
+    """The closure of the seeds under the maps in moves, each applied once to
+    each point reached: the union of the seeds' orbits when the moves generate
+    a finite group acting on the points (Holt, Eick and O'Brien, ch. 4)."""
+    members = frontier = set(seeds)
+    while frontier:
+        reached = set()
+        for move in moves:
+            reached.update(map(move, frontier))
+        frontier = reached - members
+        members |= frontier
+    return members
+
+
+def _partition(carrier, part_of):
+    """(parts, rep_of): part_of(x), whose ``members`` hold x, for each x of
+    the carrier in key order that no earlier part covers, and each element's x.
+    That the parts are disjoint and cover the carrier is asserted, not assumed."""
+    rep_of = {}
+    parts = []
+    for x in carrier:
+        if x in rep_of:
+            continue
+        part = part_of(x)
+        if not rep_of.keys().isdisjoint(part.members):
+            raise InvariantViolation("parts of the carrier overlap")
+        rep_of.update(dict.fromkeys(part.members, x))
+        parts.append(part)
+    if len(rep_of) != len(carrier):
+        raise InvariantViolation("parts failed to cover the carrier")
+    return tuple(parts), rep_of
 
 
 def _light_associative(table, gens) -> bool:
@@ -213,7 +244,7 @@ class FiniteGroup:
     def parse_element(self, text: str):
         raise NotImplementedError
 
-    def _check_generator(self, values):
+    def _check_element(self, values):
         """values as an element of the ambient group of the space, Sym(n) or
         GL_n(Z/m); InputError if they are none."""
         raise NotImplementedError
@@ -235,7 +266,7 @@ class FiniteGroup:
         order (Holt, Eick and O'Brien, Handbook of Computational Group
         Theory, 2005).
         """
-        gens = [self._check_generator(g) for g in generators]
+        gens = [self._check_element(g) for g in generators]
         return self.restrict(_mulclose(self.mul, self.identity, gens, limit=max_order)[0])
 
     # -- eager checks ---------------------------------------------------------
@@ -282,7 +313,7 @@ class PermutationGroup(FiniteGroup):
         self.degree = int(degree)
         if self.degree < 0:
             raise InputError("permutation backend needs degree >= 0")
-        super().__init__(map(self._check_generator, elements), tuple(range(self.degree)))
+        super().__init__(map(self._check_element, elements), tuple(range(self.degree)))
         self.generators  # certifies closure, as in _generated
 
     def mul(self, a, b):
@@ -337,8 +368,8 @@ class PermutationGroup(FiniteGroup):
             raise InputError(f"permutation {text!r} is not in this group")
         return elem
 
-    def _check_generator(self, values):
-        g = _int_tuple(values, "permutation generator")
+    def _check_element(self, values):
+        g = _int_tuple(values, "permutation")
         if len(g) != self.degree or sorted(g) != list(range(self.degree)):
             raise InputError(f"{g} is not a permutation of 0..{self.degree - 1}")
         return g
@@ -408,7 +439,7 @@ class MatrixGroup(FiniteGroup):
             raise InputError("matrix backend needs size >= 1 and modulus >= 2")
         n = self.size
         identity = tuple(1 if i == j else 0 for i in range(n) for j in range(n))
-        super().__init__(map(self._check_generator, elements), identity)
+        super().__init__(map(self._check_element, elements), identity)
         self.generators  # certifies closure, as in _generated
 
     def mul(self, a, b):
@@ -466,15 +497,15 @@ class MatrixGroup(FiniteGroup):
             raise InputError(f"matrix {text!r} is not in this group")
         return entries
 
-    def _check_generator(self, values):
+    def _check_element(self, values):
         n, m = self.size, self.modulus
-        g = _int_tuple(values, "matrix generator")
+        g = _int_tuple(values, "matrix")
         if len(g) != n * n:
-            raise InputError(f"generator {g} needs {n * n} entries")
+            raise InputError(f"matrix {g} needs {n * n} entries")
         if not all(0 <= v < m for v in g):
-            raise InputError(f"generator {g} has an entry outside 0..{m - 1}")
+            raise InputError(f"matrix {g} has an entry outside 0..{m - 1}")
         if gcd(self.det(g), m) != 1:
-            raise InputError(f"generator {self.format_element(g)} is not invertible mod {m}")
+            raise InputError(f"matrix {self.format_element(g)} is not invertible mod {m}")
         return g
 
     @classmethod
@@ -749,12 +780,11 @@ def conjugation_hom(group: FiniteGroup, x) -> Homomorphism:
 
 
 def hom_from_generator_images(source: FiniteGroup, target: FiniteGroup, generators, images) -> Homomorphism:
-    """Extend generator images multiplicatively, checking consistency.
-
-    The walk is the homomorphism certificate: it checks f(a*g) = f(a)*f(g)
-    for every a in the source and every given generator g, and that the
-    generators cover the source, so the table needs no second check.
-    """
+    """The homomorphism sending each generator to its image, certified by its
+    graph: the subgroup of source x target that the (generator, image) pairs
+    generate.  The images are consistent exactly when it holds one pair over
+    each element it reaches (it stops past |source| pairs, which no graph
+    has), and define the homomorphism when it reaches the whole source."""
     generators = list(generators)
     images = list(images)
     if len(generators) != len(images):
@@ -765,21 +795,18 @@ def hom_from_generator_images(source: FiniteGroup, target: FiniteGroup, generato
     for im in images:
         if im not in target:
             raise InputError("hom image outside the target carrier")
-    table = {source.identity: target.identity}
-    frontier = [source.identity]
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for g, im in zip(generators, images):
-                b = source.mul(a, g)
-                val = target.mul(table[a], im)
-                known = table.get(b)
-                if known is None:
-                    table[b] = val
-                    fresh.append(b)
-                elif known != val:
-                    raise InputError("generator images are inconsistent with the group relations")
-        frontier = fresh
+
+    def pair_mul(p, q):
+        return (source.mul(p[0], q[0]), target.mul(p[1], q[1]))
+
+    identity = (source.identity, target.identity)
+    try:
+        graph = _mulclose(pair_mul, identity, list(zip(generators, images)), limit=source.order)[0]
+    except ResourceLimitExceeded:  # more pairs than the source has elements
+        graph = ()
+    table = dict(graph)
+    if not graph or len(table) != len(graph):
+        raise InputError("generator images are inconsistent with the group relations")
     if len(table) != source.order:
         raise InputError("generators do not generate the source group")
     return Homomorphism(source, target, table, check=False)
@@ -822,56 +849,28 @@ class DoubleCosetDecomposition:
         return self._coset_by_rep[self.rep_of[x]]
 
 
-def _require_subgroup(ambient: FiniteGroup, sub: Subgroup, name: str):
-    if sub.ambient.space() != ambient.space() or not sub.members <= ambient.element_set:
-        raise InputError(f"{name} is not a subgroup of the ambient group")
-
-
-def _expand_double_coset(ambient, lgens, rgens, x):
+def _double_coset_moves(ambient: FiniteGroup, left: Subgroup, right: Subgroup) -> list:
+    """Left products by the generators of left, right products by those of
+    right: the moves whose orbit of x is left * x * right."""
+    for sub, name in ((left, "left"), (right, "right")):
+        if sub.ambient.space() != ambient.space() or not sub.members <= ambient.element_set:
+            raise InputError(f"{name} is not a subgroup of the ambient group")
     mul = ambient.mul
-    members = {x}
-    frontier = [x]
-    while frontier:
-        fresh = []
-        for g in frontier:
-            for h in lgens:
-                y = mul(h, g)
-                if y not in members:
-                    members.add(y)
-                    fresh.append(y)
-            for k in rgens:
-                y = mul(g, k)
-                if y not in members:
-                    members.add(y)
-                    fresh.append(y)
-        frontier = fresh
-    return members
+    return [lambda g, h=h: mul(h, g) for h in left.generating_set] + [
+        lambda g, k=k: mul(g, k) for k in right.generating_set
+    ]
 
 
 def double_coset_of(ambient: FiniteGroup, left: Subgroup, right: Subgroup, x) -> frozenset:
     """The single double coset left * x * right."""
-    _require_subgroup(ambient, left, "left")
-    _require_subgroup(ambient, right, "right")
+    moves = _double_coset_moves(ambient, left, right)
     if x not in ambient:
         raise InputError("element outside the ambient carrier")
-    return frozenset(_expand_double_coset(ambient, left.generating_set, right.generating_set, x))
+    return frozenset(_orbit([x], moves))
 
 
 def double_cosets(ambient: FiniteGroup, left: Subgroup, right: Subgroup) -> DoubleCosetDecomposition:
     """Deterministic double-coset partition with key-minimal representatives."""
-    _require_subgroup(ambient, left, "left")
-    _require_subgroup(ambient, right, "right")
-    lgens = left.generating_set
-    rgens = right.generating_set
-    rep_of = {}
-    cosets = []
-    for x in ambient.elements:
-        if x in rep_of:
-            continue
-        members = _expand_double_coset(ambient, lgens, rgens, x)
-        for y in members:
-            rep_of[y] = x
-        cosets.append(DoubleCoset(x, frozenset(members)))
-    if len(rep_of) != ambient.order:
-        raise InvariantViolation("double cosets failed to cover the carrier")
-    return DoubleCosetDecomposition(tuple(cosets), rep_of)
+    moves = _double_coset_moves(ambient, left, right)
+    cosets, rep_of = _partition(ambient.elements, lambda x: DoubleCoset(x, frozenset(_orbit([x], moves))))
+    return DoubleCosetDecomposition(cosets, rep_of)

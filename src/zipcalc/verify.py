@@ -23,6 +23,10 @@ from .zipdata import (
 )
 
 
+# twists drawn by each of the two sampled twist checks
+SAMPLES = 2
+
+
 class CheckResult(Record):
     """One named cross-check: whether it passed, and an optional detail."""
 
@@ -30,7 +34,7 @@ class CheckResult(Record):
     _defaults = {"detail": ""}
 
 
-def run_verification(z: ZipDatum, *, seed: int = 0, samples: int = 2) -> list:
+def run_verification(z: ZipDatum, *, seed: int = 0) -> list:
     """Run every structural cross-check on one datum.
 
     Sampled checks draw deterministically from the sorted carriers, so the
@@ -59,20 +63,20 @@ def run_verification(z: ZipDatum, *, seed: int = 0, samples: int = 2) -> list:
     carrier = z.G.elements
     tau_image = z.tau_image.elements
     ok = True
-    for _ in range(samples):
+    for _ in range(SAMPLES):
         x = carrier[rng.randrange(len(carrier))]
         y = tau_image[rng.randrange(len(tau_image))]
         ok = ok and twist_refine_identity_check(z, x, y)
-    results.append(CheckResult("twist-refine-commutation", ok, f"samples={samples}"))
+    results.append(CheckResult("twist-refine-commutation", ok, f"samples={SAMPLES}"))
 
     ok = True
-    for _ in range(samples):
+    for _ in range(SAMPLES):
         x = carrier[rng.randrange(len(carrier))]
         e = z.E.elements[rng.randrange(z.E.order)]
         et = z.E.elements[rng.randrange(z.E.order)]
         y = z.G.mul(z.G.mul(z.tau(e), x), z.sigma(et))
         ok = ok and twist_refine_identity_check(z, x, y, witnesses=(e, et))
-    results.append(CheckResult("twisted-subgroup-conjugation", ok, f"samples={samples}"))
+    results.append(CheckResult("twisted-subgroup-conjugation", ok, f"samples={SAMPLES}"))
 
     coarse = zip_classes(z)
     fine = fine_orbits(z)

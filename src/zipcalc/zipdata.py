@@ -117,21 +117,20 @@ class ZipDatum:
 
     @cached_property
     def action_generators(self) -> tuple:
-        """Small generating set of the pair group, as (a, inv(b), witness e).
+        """Small generating set of the pair group, as (a, inv(b)).
 
         Orbits of the full pair group equal worklist closures under these
         generators, which keeps class expansion linear in the orbit size.
         """
         G = self.G
         pairs = [(a, b) for a, b, _ in self.action_pairs]
-        witness = {(a, b): w for a, b, w in self.action_pairs}
         ident = (G.identity, G.identity)
 
         def pair_mul(p, q):
             return (G.mul(p[0], q[0]), G.mul(p[1], q[1]))
 
-        gens = _mulclose(pair_mul, ident, sorted(pairs))[1]
-        return tuple((a, G.inv(b), witness[(a, b)]) for a, b in gens)
+        gens = _mulclose(pair_mul, ident, pairs)[1]
+        return tuple((a, G.inv(b)) for a, b in gens)
 
     # -- E-level attributes of a derived datum, built on first use --------------
 

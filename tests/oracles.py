@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import types
 
 
 def naive_closure(group, generators):
@@ -195,6 +196,36 @@ def naive_is_homomorphism(source, target, table):
         for a in source.elements
         for b in source.elements
     )
+
+
+def naive_hom_from_generator_images(source, target, generators, images):
+    """(verdict, table) for the map sending each generator to its image.
+
+    The images are extended along words, breadth first, with no check: each
+    element first reached as a*g takes f(a)*image(g).  The verdict comes
+    after: "inconsistent" unless the table passes naive_is_homomorphism on
+    the subgroup the words reach and sends each generator to its image,
+    then "non-generating" unless the words reach every element, else "hom".
+    """
+    table = {source.identity: target.identity}
+    frontier = [source.identity]
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for g, im in zip(generators, images):
+                b = source.mul(a, g)
+                if b not in table:
+                    table[b] = target.mul(table[a], im)
+                    fresh.append(b)
+        frontier = fresh
+    reached = types.SimpleNamespace(elements=list(table), mul=source.mul)  # a subgroup of source
+    if not naive_is_homomorphism(reached, target, table):
+        return "inconsistent", table
+    if any(table[g] != im for g, im in zip(generators, images)):
+        return "inconsistent", table
+    if len(table) != len(source.elements):
+        return "non-generating", table
+    return "hom", table
 
 
 def naive_is_group_table(table):

@@ -16,6 +16,7 @@ from zipcalc import (
     fine_orbits,
     groupoid_equivalence_check,
     member_stationary_subgroups,
+    member_witness,
     refine_to_stationary,
     refinement_bijection_check,
     torsor_check,
@@ -90,14 +91,16 @@ def test_zip_class_witnesses_are_key_minimal(acceptance_classes):
             assert c.witness == min(c.members), name
 
 
-def test_zip_classes_member_witnesses_reproduce_members(witt22):
-    z, _ = witt22
-    report = zip_classes(z)
-    G = z.G
-    for c in report.classes:
-        for y, (e, g) in c.member_witness.items():
-            assert g in c.g_infinity.members
-            assert y == G.mul(G.mul(z.tau(e), G.mul(g, c.witness)), G.inv(z.sigma(e)))
+def test_zip_classes_member_witnesses_reproduce_members(zoo, witt22):
+    for name, z in [*zoo.items(), ("witt-p2-n2", witt22[0])]:
+        G = z.G
+        for report in (fine_orbits(z), zip_classes(z)):
+            for c in report.classes:
+                allowed = c.g_infinity.members if c.g_infinity is not None else {G.identity}
+                for y in c.members:
+                    e, g = member_witness(report, y)
+                    assert g in allowed, (name, report.relation)
+                    assert y == G.mul(G.mul(z.tau(e), G.mul(g, c.witness)), G.inv(z.sigma(e))), name
 
 
 def test_witness_conjugation_identity(witt22):

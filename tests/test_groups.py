@@ -116,6 +116,24 @@ def test_matrix_group_algebra(data):
     assert g.inv(g.mul(a, b)) == g.mul(g.inv(b), g.inv(a))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: MatrixGroup(2, 2, [(1, 0, 0, 1), (0, 0, 0, 0)]), "matrix [0,0,0,0] is not invertible mod 2"),
+        (lambda: MatrixGroup(2, 2, [(1, 0, 0, 1), (1, 0, 0)]), "matrix (1, 0, 0) needs 4 entries"),
+        (lambda: MatrixGroup(2, 2, [(1, 0, 0, 1), (1, 0, 0, 2)]), "matrix (1, 0, 0, 2) has an entry outside 0..1"),
+        (lambda: MatrixGroup(2, 2, [(1, 0, 0, 1), (1, 0, "x", 1)]), "matrix must be a list of integers"),
+        (lambda: PermutationGroup(3, [(0, 1, 2), (0, "a", 1)]), "permutation must be a list of integers"),
+        (lambda: PermutationGroup(3, [(0, 1, 2), (0, 0, 1)]), "(0, 0, 1) is not a permutation of 0..2"),
+    ],
+)
+def test_explicit_carrier_errors_name_the_element_kind(build, message):
+    with pytest.raises(InputError) as info:
+        build()
+    assert str(info.value).startswith(message)
+    assert "generator" not in str(info.value)
+
+
 def test_cayley_rejects_bad_table():
     with pytest.raises(InputError):
         CayleyTableGroup([[0, 1], [0, 1]])

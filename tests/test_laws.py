@@ -108,6 +108,37 @@ def test_hom_certificate_matches_oracle(groups, data):
             Homomorphism(E, G, table)
 
 
+@given(st.data())
+def test_generator_images_match_oracle(groups, data):
+    source_name, target_name = pick(data, HOM_PAIRS)
+    E, G = groups[source_name], groups[target_name]
+    kind = data.draw(st.sampled_from(["consistent", "inconsistent", "non-generating"]))
+    if kind == "non-generating":
+        generators = [pick(data, E.elements) for _ in range(data.draw(st.integers(0, 1)))]
+    else:
+        extra = [pick(data, E.elements) for _ in range(data.draw(st.integers(0, 2)))]
+        generators = data.draw(st.permutations([*E.generators, *extra]))
+    # images of a homomorphism: trivial, inner (when E is G), or a guess
+    # that is one only sometimes
+    base = data.draw(st.sampled_from(["trivial", "inner", "random"] if E is G else ["trivial", "random"]))
+    if base == "trivial":
+        images = [G.identity for _ in generators]
+    elif base == "inner":
+        t = pick(data, G.elements)
+        images = [G.mul(G.mul(t, g), G.inv(t)) for g in generators]
+    else:
+        images = [pick(data, G.elements) for _ in generators]
+    if kind == "inconsistent" and generators:
+        images[data.draw(st.integers(0, len(images) - 1))] = pick(data, G.elements)
+    verdict, table = oracles.naive_hom_from_generator_images(E, G, generators, images)
+    if verdict == "hom":
+        assert hom_from_generator_images(E, G, generators, images).table == table
+    else:
+        message = "inconsistent" if verdict == "inconsistent" else "do not generate"
+        with pytest.raises(InputError, match=message):
+            hom_from_generator_images(E, G, generators, images)
+
+
 def random_subset(data, group):
     gens = [pick(data, group.elements) for _ in range(data.draw(st.integers(0, 2)))]
     members = set(closure(group, gens).members)

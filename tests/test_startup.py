@@ -88,7 +88,7 @@ EXPORTS = (
     "RefinementTrace ZipDatum e_infinity_characterization_check is_tau_surjective refine "
     "refine_to_stationary same_zip_datum twist twist_refine_identity_check "
     "ClassReport ZipClass coarsening_check fine_orbits groupoid_equivalence_check "
-    "member_stationary_subgroups refinement_bijection_check torsor_check zip_classes "
+    "member_stationary_subgroups member_witness refinement_bijection_check torsor_check zip_classes "
     "ClassificationPath RepForest build_forest classify forest_to_dot limit_bijection_check "
     "reconstruct WittZipConfig build_small_zoo build_witt_zip zoo_entry CheckResult "
     "run_verification __version__"
@@ -124,23 +124,20 @@ def test_members_digest_equals_hashlib_sha256(members):
 # -- the immutable value types, against frozen dataclass twins ---------------------
 
 
-def twin(cls, omit=()):
-    """A frozen dataclass with cls's fields and defaults; fields in omit take
-    no part in ==, hash or repr, as ZipClass.member_witness."""
+def twin(cls):
+    """A frozen dataclass with cls's fields and defaults."""
     specs = []
     for name in cls._fields:
         kwargs = {}
         if name in cls._defaults:
             kwargs["default"] = cls._defaults[name]
-        if name in omit:
-            kwargs.update(compare=False, hash=False, repr=False)
         specs.append((name, object, dataclasses.field(**kwargs)))
     return dataclasses.make_dataclass(cls.__name__, specs, frozen=True)
 
 
 SAMPLES = [
     (Job, ("witt", None, "[0,1,1,0]", 3), ("witt", None, "[0,1,1,0]", 4)),
-    (ZipClass, (1, frozenset({1, 2}), None, None, {1: "w"}), (1, frozenset({1}), None, None, {1: "w"})),
+    (ZipClass, (1, frozenset({1, 2}), None, None), (1, frozenset({1}), None, None)),
     (ClassificationPath, ((1, 2), "G"), ((1, 3), "G")),
     (DoubleCoset, (0, frozenset({0, 1})), (1, frozenset({0, 1}))),
     (RefinementTrace, ((1, 2),), ((1,),)),
@@ -151,7 +148,7 @@ SAMPLES = [
 
 @pytest.mark.parametrize("cls, args, other", SAMPLES, ids=[s[0].__name__ for s in SAMPLES])
 def test_value_type_matches_frozen_dataclass(cls, args, other):
-    Twin = twin(cls, omit=("member_witness",))
+    Twin = twin(cls)
     a, b, c = cls(*args), cls(*args), cls(*other)
     ta, tc = Twin(*args), Twin(*other)
     assert repr(a) == repr(ta)
@@ -174,12 +171,6 @@ def test_value_type_matches_frozen_dataclass(cls, args, other):
         cls(*args, no_such_field=1)
     with pytest.raises(TypeError):
         cls(*args[:-1])  # the last sample argument has no default
-
-
-def test_zip_class_equality_ignores_member_witness():
-    a = ZipClass(1, frozenset({1}), None, None, {1: "w"})
-    assert a == ZipClass(1, frozenset({1}), None, None, {1: "other"})
-    assert "member_witness" not in repr(a)
 
 
 def test_refinement_trace_caches_its_subgroups(witt22):
