@@ -24,12 +24,11 @@ from .groups import (
     Record,
     ResourceLimitExceeded,
     hom_from_generator_images,
-    identity_hom,
     inclusion_hom,
     trivial_hom,
 )
 from .zipdata import ZipDatum, refine_to_stationary, twist
-from .zoo import WittZipConfig, build_small_zoo, build_witt_zip, witt_sigma_table, zoo_entry
+from .zoo import WittZipConfig, build_small_zoo, build_witt_zip, witt_sigma_table, witt_tau_table, zoo_entry
 
 COMMANDS = ("refine", "infinity", "orbits", "classes", "forest", "verify", "zoo")
 
@@ -123,9 +122,7 @@ def _build_hom(spec, E: FiniteGroup, G: FiniteGroup, where: str) -> Homomorphism
         if kind == "identity":
             if E.space() != G.space() or E.element_set != G.element_set:
                 _fail(where, "identity hom needs E and G with the same carrier")
-            if E is G:
-                return identity_hom(E)
-            return Homomorphism(E, G, {a: a for a in E}, check=False)
+            return inclusion_hom(E, G)
         if kind == "inclusion":
             return inclusion_hom(E, G)
         if kind == "trivial":
@@ -156,10 +153,7 @@ def _build_hom(spec, E: FiniteGroup, G: FiniteGroup, where: str) -> Homomorphism
                 p = _get(spec, where, "p", int)
                 return Homomorphism(E, G, witt_sigma_table(E, G, p))
             if name == "witt-tau":
-                if not (isinstance(E, MatrixGroup) and isinstance(G, MatrixGroup)):
-                    _fail(where, "witt presets need matrix groups")
-                m = G.modulus
-                return Homomorphism(E, G, {e: tuple(v % m for v in e) for e in E})
+                return Homomorphism(E, G, witt_tau_table(E, G))
             _fail(f"{where}.name", f"unknown hom preset {name!r}")
     except ConfigError:
         raise
@@ -242,98 +236,69 @@ def load_job(config_path: Path, max_order: int | None = None) -> Job:
 
 def _emit(out_dir: Path | None, files: dict, stdout_lines: list):
     """Print the summary lines, then the reports: to stdout, or as files in
-    out_dir.  Files are written before anything is printed, so a directory
-    that cannot be written is a config error with nothing on stdout."""
+    out_dir.  A dict report is written as canonical JSON, a string as it is.
+    Files are written before anything is printed, so a directory that cannot
+    be written is a config error with nothing on stdout."""
+    texts = {
+        filename: content if isinstance(content, str) else reports.dumps_canonical(content)
+        for filename, content in sorted(files.items())
+    }
     if out_dir is not None:
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
-            for filename, content in sorted(files.items()):
-                (out_dir / filename).write_text(content, encoding="utf-8")
+            for filename, text in texts.items():
+                (out_dir / filename).write_text(text, encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"{out_dir}: cannot write reports: {exc.strerror or exc}") from None
     for line in stdout_lines:
         print(line)
-    if out_dir is None:
-        for _, content in sorted(files.items()):
-            sys.stdout.write(content)
-    else:
-        for filename in sorted(files):
+    for filename, text in texts.items():
+        if out_dir is None:
+            sys.stdout.write(text)
+        else:
             print(f"wrote {out_dir / filename}")
 
 
-def _run_command(job: Job, command: str, out_dir: Path | None) -> int:
-    z = job.datum
-    name = job.name
+def _check_lines(doc: dict, prefix: str = "") -> list:
+    """One PASS/FAIL line per check of a verification report."""
+    return [
+        f"{'PASS' if c['passed'] else 'FAIL'}  {prefix}{c['name']}" + (f"  [{c['detail']}]" if c["detail"] else "")
+        for c in doc["checks"]
+    ]
+
+
+def _outputs(name: str, z: ZipDatum, command: str, seed: int) -> tuple:
+    """The report files, summary lines and verdict of one command on z.  The
+    summary lines are read from the reports, so each figure is computed once."""
     if command == "refine":
-        trace = refine_to_stationary(z)
-        lines = []
-        for i, (e_i, g_i) in enumerate(trace.stages):
-            lines.append(
-                f"stage {i}: |E_{i}|={e_i.order} digest={reports.members_digest(z.E, e_i.members)}"
-                f" |G_{i}|={g_i.order} digest={reports.members_digest(z.G, g_i.members)}"
-            )
-        lines.append(
-            f"stationary at index {trace.stationary_index}:"
-            f" |E_inf|={trace.e_infinity.order} |G_inf|={trace.g_infinity.order}"
-        )
-        doc = reports.trace_document(name, z, trace)
-        _emit(out_dir, {"trace.json": reports.dumps_canonical(doc)}, lines)
-        return EXIT_OK
-    if command == "infinity":
-        trace = refine_to_stationary(z)
-        doc = reports.infinity_document(name, z, trace)
+        doc = reports.trace_document(name, z, refine_to_stationary(z))
         lines = [
-            f"E_inf: order {trace.e_infinity.order}",
-            f"G_inf: order {trace.g_infinity.order}",
+            f"stage {s['index']}: |E_{s['index']}|={s['e_order']} digest={s['e_digest']}"
+            f" |G_{s['index']}|={s['g_order']} digest={s['g_digest']}"
+            for s in doc["stages"]
         ]
-        _emit(out_dir, {"infinity.json": reports.dumps_canonical(doc)}, lines)
-        return EXIT_OK
+        lines.append(
+            f"stationary at index {doc['stationary_index']}:"
+            f" |E_inf|={doc['e_infinity']['order']} |G_inf|={doc['g_infinity']['order']}"
+        )
+        return {"trace.json": doc}, lines, True
+    if command == "infinity":
+        doc = reports.infinity_document(name, z, refine_to_stationary(z))
+        lines = [f"E_inf: order {doc['e_infinity']['order']}", f"G_inf: order {doc['g_infinity']['order']}"]
+        return {"infinity.json": doc}, lines, True
     if command == "orbits":
-        report = equivalence.fine_orbits(z)
-        doc = reports.class_report_document(name, report)
-        _emit(out_dir, {"orbits.json": reports.dumps_canonical(doc)}, [f"fine orbits: {report.class_count}"])
-        return EXIT_OK
+        doc = reports.class_report_document(name, equivalence.fine_orbits(z))
+        return {"orbits.json": doc}, [f"fine orbits: {doc['class_count']}"], True
     if command == "classes":
-        report = equivalence.zip_classes(z)
-        doc = reports.class_report_document(name, report)
-        _emit(out_dir, {"classes.json": reports.dumps_canonical(doc)}, [f"classes: {report.class_count}"])
-        return EXIT_OK
+        doc = reports.class_report_document(name, equivalence.zip_classes(z))
+        return {"classes.json": doc}, [f"classes: {doc['class_count']}"], True
     if command == "forest":
         rep_forest = forest.build_forest(z)
         doc = reports.forest_document(name, rep_forest)
-        files = {
-            "forest.json": reports.dumps_canonical(doc),
-            "forest.dot": forest.forest_to_dot(rep_forest),
-        }
-        lines = [f"forest: {len(rep_forest.roots)} roots, {len(rep_forest.leaves)} stable paths"]
-        _emit(out_dir, files, lines)
-        return EXIT_OK
-    if command == "verify":
-        results = verify.run_verification(z, seed=job.seed)
-        lines = [f"{'PASS' if r.passed else 'FAIL'}  {r.name}" + (f"  [{r.detail}]" if r.detail else "") for r in results]
-        doc = reports.verification_document(name, z, results)
-        _emit(out_dir, {"verify.json": reports.dumps_canonical(doc)}, lines)
-        return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK
-    raise ConfigError(f"unknown command {command!r}")
-
-
-def _run_zoo(out_dir: Path | None, seed: int, max_order: int) -> int:
-    all_ok = True
-    files = {}
-    lines = []
-    for entry_name, datum in build_small_zoo().items():
-        _enforce_max_order(max(datum.E.order, datum.G.order), max_order)
-        results = verify.run_verification(datum, seed=seed)
-        for r in results:
-            lines.append(
-                f"{'PASS' if r.passed else 'FAIL'}  {entry_name}: {r.name}"
-                + (f"  [{r.detail}]" if r.detail else "")
-            )
-        all_ok = all_ok and all(r.passed for r in results)
-        doc = reports.verification_document(entry_name, datum, results)
-        files[f"verify-{entry_name}.json"] = reports.dumps_canonical(doc)
-    _emit(out_dir, files, lines)
-    return EXIT_OK if all_ok else EXIT_CHECK
+        lines = [f"forest: {doc['root_count']} roots, {doc['leaf_count']} stable paths"]
+        return {"forest.json": doc, "forest.dot": forest.forest_to_dot(rep_forest)}, lines, True
+    doc = reports.verification_document(name, z, verify.run_verification(z, seed=seed))
+    return {"verify.json": doc}, _check_lines(doc), doc["all_passed"]
 
 
 def _enforce_max_order(biggest: int, max_order: int):
@@ -370,15 +335,25 @@ def main(argv=None) -> int:
             raise ConfigError('no command given: pass --command or set "command" in the config')
         out_dir = args.out if args.out is not None else (job.out if job else None)
         if command == "zoo":
-            return _run_zoo(out_dir, job.seed if job else 0, args.max_order)
-        if job is None:
-            raise ConfigError(f"--config is required for the {command} command")
-        _enforce_max_order(max(job.datum.E.order, job.datum.G.order), args.max_order)
-        literal = args.twist if args.twist is not None else job.twist_literal
-        if literal is not None:
-            x = _parse_element(job.datum.G, literal, f"{args.config}.twist")
-            job = Job(job.name, twist(job.datum, x), None, job.seed)
-        return _run_command(job, command, out_dir)
+            seed = job.seed if job else 0
+            files, lines, passed = {}, [], True
+            for entry, datum in build_small_zoo().items():
+                _enforce_max_order(max(datum.E.order, datum.G.order), args.max_order)
+                docs, _, ok = _outputs(entry, datum, "verify", seed)
+                files[f"verify-{entry}.json"] = docs["verify.json"]
+                lines += _check_lines(docs["verify.json"], f"{entry}: ")
+                passed = passed and ok
+        else:
+            if job is None:
+                raise ConfigError(f"--config is required for the {command} command")
+            _enforce_max_order(max(job.datum.E.order, job.datum.G.order), args.max_order)
+            z = job.datum
+            literal = args.twist if args.twist is not None else job.twist_literal
+            if literal is not None:
+                z = twist(z, _parse_element(z.G, literal, f"{args.config}.twist"))
+            files, lines, passed = _outputs(job.name, z, command, job.seed)
+        _emit(out_dir, files, lines)
+        return EXIT_OK if passed else EXIT_CHECK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -48,6 +48,11 @@ class ForestNode:
             node = node.parent
         return tuple(reversed(out))
 
+    def path_id(self, fmt) -> str:
+        """The path's element keys joined by '/': the node's identifier in
+        the forest reports, since one element can sit at several nodes."""
+        return "/".join(map(fmt, self.path_elements()))
+
     def __repr__(self):
         return f"<ForestNode gen={self.generation} stable={self.stable}>"
 
@@ -63,7 +68,8 @@ class ClassificationPath(Record):
 
 
 class RepForest:
-    """The materialized forest together with its root decomposition."""
+    """The materialized forest together with its root decomposition, and the
+    stable nodes whose carrier's key-minimal element is not the identity."""
 
     def __init__(self, datum, generations, root_decomposition, identity_rep_flags):
         self.datum = datum
@@ -146,7 +152,7 @@ def build_forest(z: ZipDatum) -> RepForest:
     for gen in generations:
         for node in gen:
             if node.stable and min(node.datum.G.elements) != G.identity:
-                flags.append(node.path_elements())
+                flags.append(node)
     return RepForest(z, tuple(generations), root_dec, tuple(flags))
 
 
@@ -221,27 +227,26 @@ def limit_bijection_check(forest: RepForest, oracle: ClassReport) -> bool:
 
 def forest_to_dot(forest: RepForest) -> str:
     """DOT rendering: roots ranked first, nodes labeled with element keys and
-    stability flags.  Node identifiers are path-qualified element keys, since
-    the same element can appear at several positions."""
-    z = forest.datum
-    fmt = z.G.format_element
-
-    def node_id(node):
-        return "/".join(fmt(el) for el in node.path_elements())
+    stability flags.  Node identifiers are path ids, since the same element
+    can appear at several positions."""
+    fmt = forest.datum.G.format_element
 
     def quote(s):
         return '"' + s.replace('"', '\\"') + '"'
 
+    def node_id(node):
+        return quote(node.path_id(fmt))
+
     lines = ["digraph representative_forest {"]
-    lines.append("  { rank=min; " + " ".join(quote(node_id(n)) + ";" for n in forest.roots) + " }")
+    lines.append("  { rank=min; " + " ".join(node_id(n) + ";" for n in forest.roots) + " }")
     for gen in forest.generations:
         for node in gen:
             flag = "stable" if node.stable else "active"
             label = f"{fmt(node.element)}\\n{flag}"
-            lines.append(f"  {quote(node_id(node))} [label={quote(label)}];")
+            lines.append(f"  {node_id(node)} [label={quote(label)}];")
     for gen in forest.generations:
         for node in gen:
             for child in node.children:
-                lines.append(f"  {quote(node_id(node))} -> {quote(node_id(child))};")
+                lines.append(f"  {node_id(node)} -> {node_id(child)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

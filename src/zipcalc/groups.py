@@ -710,19 +710,6 @@ class Homomorphism:
     def __call__(self, e):
         return self.table[e]
 
-    def __eq__(self, other):
-        if not isinstance(other, Homomorphism):
-            return NotImplemented
-        return (
-            self.source.space() == other.source.space()
-            and self.target.space() == other.target.space()
-            and self.source.element_set == other.source.element_set
-            and self.table == other.table
-        )
-
-    def __hash__(self):
-        return hash((self.source.space(), self.target.space(), frozenset(self.table.items())))
-
     def __repr__(self):
         return f"<Homomorphism {self.source!r} -> {self.target!r}>"
 

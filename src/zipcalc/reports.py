@@ -107,18 +107,14 @@ def infinity_document(name: str, z: ZipDatum, trace: RefinementTrace) -> dict:
 def forest_document(name: str, forest: RepForest) -> dict:
     z = forest.datum
     fmt = z.G.format_element
-
-    def path_id(node):
-        return "/".join(fmt(el) for el in node.path_elements())
-
     generations = []
     for gen in forest.generations:
         generations.append(
             [
                 {
                     "element": fmt(node.element),
-                    "path": path_id(node),
-                    "parent": path_id(node.parent) if node.parent is not None else None,
+                    "path": node.path_id(fmt),
+                    "parent": node.parent.path_id(fmt) if node.parent is not None else None,
                     "accumulated": fmt(node.accumulated),
                     "stable": node.stable,
                 }
@@ -133,7 +129,7 @@ def forest_document(name: str, forest: RepForest) -> dict:
         "root_count": len(forest.roots),
         "leaf_count": len(forest.leaves),
         "generations": generations,
-        "identity_rep_flags": ["/".join(fmt(el) for el in path) for path in forest.identity_rep_flags],
+        "identity_rep_flags": [node.path_id(fmt) for node in forest.identity_rep_flags],
     }
 
 

@@ -70,6 +70,14 @@ class WittZipConfig(Record):
         return p ** (4 * (n - 2)) * (p * p - 1) * (p * p - p)
 
 
+def witt_tau_table(E: MatrixGroup, G: MatrixGroup) -> dict:
+    """The table of tau: every entry reduced modulo G's modulus."""
+    if not (isinstance(E, MatrixGroup) and isinstance(G, MatrixGroup)):
+        raise InputError("witt presets need matrix groups")
+    m = G.modulus
+    return {e: tuple(v % m for v in e) for e in E}
+
+
 def witt_sigma_table(E: MatrixGroup, G: MatrixGroup, p: int) -> dict:
     """The table of sigma: (a, b, c, d) -> (a, p*b, c/p, d) one level down.
 
@@ -112,7 +120,7 @@ def build_witt_zip(config: WittZipConfig) -> tuple:
     if E.order != config.e_order:
         raise InvariantViolation(f"Witt E has order {E.order}, expected {config.e_order}")
     G = MatrixGroup.general_linear(2, m)
-    tau = Homomorphism(E, G, {e: tuple(v % m for v in e) for e in E})
+    tau = Homomorphism(E, G, witt_tau_table(E, G))
     sigma = Homomorphism(E, G, witt_sigma_table(E, G, p))
     return ZipDatum(E, G, tau, sigma), (0, 1, 1, 0)
 

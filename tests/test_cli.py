@@ -588,3 +588,33 @@ def test_determinism_byte_identical_reports(witt22_config, tmp_path, capsys):
         run(capsys, "--config", str(witt22_config), "--command", "forest", "--out", str(d))
     for filename in ("classes.json", "forest.json", "forest.dot"):
         assert (dirs[0] / filename).read_bytes() == (dirs[1] / filename).read_bytes()
+
+
+def test_refine_digests_each_stage_once(capsys, monkeypatch):
+    from zipcalc import reports
+
+    digest = reports.members_digest
+    calls = []
+
+    def counting(group, members):
+        calls.append(len(members))
+        return digest(group, members)
+
+    monkeypatch.setattr(reports, "members_digest", counting)
+    config = Path(__file__).resolve().parent.parent / "configs" / "witt-p2-n3.json"
+    code, out, _ = run(capsys, "--config", str(config), "--command", "refine")
+    assert code == EXIT_OK
+    stages = json.loads(out[out.index("{"):])["stages"]
+    # one digest per stage subgroup, plus E_inf and G_inf
+    assert len(calls) == 2 * len(stages) + 2 == 8
+
+
+def test_witt_tau_preset_needs_matrix_groups(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        "permtau.json",
+        {"groups": {"E": PERM3, "G": PERM3}, "tau": {"type": "preset", "name": "witt-tau"}, "sigma": {"type": "trivial"}},
+    )
+    code, _, err = run(capsys, "--config", str(cfg), "--command", "classes")
+    assert code == EXIT_CONFIG
+    assert err == f"config error: {cfg}.tau: witt presets need matrix groups\n"
