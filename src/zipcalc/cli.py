@@ -60,7 +60,8 @@ def _get(cfg: dict, where: str, key: str, kind=None, required=True, default=None
             _fail(where, f"missing required key {key!r}")
         return default
     value = cfg[key]
-    if kind is not None and not isinstance(value, kind):
+    # JSON true and false load as bool, a subclass of int
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         _fail(f"{where}.{key}", f"expected {kind.__name__}, got {type(value).__name__}")
     return value
 
@@ -180,9 +181,12 @@ def load_job(config_path: Path, max_order: int | None = None) -> Job:
     if not isinstance(cfg, dict):
         _fail(where, "config must be a JSON object")
 
-    name = cfg.get("name") or config_path.stem
+    name = cfg.get("name")
+    if name is not None and not isinstance(name, str):
+        _fail(f"{where}.name", "name must be a string")
+    name = name or config_path.stem
     seed = cfg.get("seed", 0)
-    if not isinstance(seed, int):
+    if not isinstance(seed, int) or isinstance(seed, bool):
         _fail(f"{where}.seed", "seed must be an integer")
     twist_literal = cfg.get("twist")
     if twist_literal is not None and not isinstance(twist_literal, (str, list, int)):
@@ -335,6 +339,8 @@ def main(argv=None) -> int:
             raise ConfigError('no command given: pass --command or set "command" in the config')
         out_dir = args.out if args.out is not None else (job.out if job else None)
         if command == "zoo":
+            if args.twist is not None:
+                raise ConfigError("--twist: the zoo command runs the built-in data untwisted")
             seed = job.seed if job else 0
             files, lines, passed = {}, [], True
             for entry, datum in build_small_zoo().items():

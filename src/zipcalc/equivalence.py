@@ -22,10 +22,8 @@ is stated on them.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .groups import InputError, InvariantViolation, Record, Subgroup, conjugate, double_coset_of
-from .groups import _orbit, _partition
+from .groups import Partition, _orbit, _partition
 from .zipdata import ZipDatum, refine, refine_to_stationary, twist
 
 
@@ -43,32 +41,22 @@ class ZipClass(Record):
         return len(self.members)
 
 
-class ClassReport:
-    """A partition of the carrier of G under one of the two relations;
-    ``rep_of`` maps each element to the witness of its class."""
+class ClassReport(Partition):
+    """The partition of the carrier of G under one of the two relations,
+    its parts the ZipClasses keyed by witness."""
 
-    def __init__(self, datum: ZipDatum, relation: str, classes: tuple, rep_of: dict):
+    def __init__(self, datum: ZipDatum, relation: str, partition: Partition):
+        super().__init__(partition.parts, partition.rep_of)
         self.datum = datum
         self.relation = relation
-        self.classes = classes
-        self.rep_of = rep_of
+
+    @property
+    def classes(self) -> tuple:
+        return tuple(self)
 
     @property
     def class_count(self) -> int:
-        return len(self.classes)
-
-    @cached_property
-    def _class_by_witness(self) -> dict:
-        return {c.witness: c for c in self.classes}
-
-    def class_of(self, x) -> ZipClass:
-        try:
-            return self._class_by_witness[self.rep_of[x]]
-        except KeyError:
-            raise InputError("element outside the carrier of G") from None
-
-    def witness_of(self, x):
-        return self.class_of(x).witness
+        return len(self)
 
     def __repr__(self):
         return f"<ClassReport {self.relation} classes={self.class_count}>"
@@ -88,8 +76,8 @@ def _coarse_class(z: ZipDatum, x, ginf: Subgroup, moves) -> frozenset:
 def fine_orbits(z: ZipDatum) -> ClassReport:
     """Orbits of e.g = tau(e) * g * sigma(e)^-1 on the carrier of G."""
     moves = _class_moves(z)
-    classes, rep_of = _partition(z.G.elements, lambda x: ZipClass(x, frozenset(_orbit([x], moves)), None, None))
-    return ClassReport(z, "fine-orbit", classes, rep_of)
+    orbits = _partition(z.G.elements, lambda x: ZipClass(x, frozenset(_orbit([x], moves)), None, None))
+    return ClassReport(z, "fine-orbit", orbits)
 
 
 def zip_classes(z: ZipDatum) -> ClassReport:
@@ -102,8 +90,7 @@ def zip_classes(z: ZipDatum) -> ClassReport:
         ginf = trace.g_infinity
         return ZipClass(x, _coarse_class(z, x, ginf, moves), trace.e_infinity, ginf)
 
-    classes, rep_of = _partition(z.G.elements, coarse)
-    return ClassReport(z, "zip-coarse", classes, rep_of)
+    return ClassReport(z, "zip-coarse", _partition(z.G.elements, coarse))
 
 
 def member_witness(report: ClassReport, y) -> tuple:
@@ -111,7 +98,7 @@ def member_witness(report: ClassReport, y) -> tuple:
     class and g in G_inf^x (g = 1 for fine orbits), found on demand: from the
     first pair (a, b) of action_pairs whose g = a^-1 * y * b * x^-1 qualifies,
     with e the pair's key-minimal element of E."""
-    c = report.class_of(y)
+    c = report.part_of(y)
     z = report.datum
     G = z.G
     allowed = c.g_infinity.members if c.g_infinity is not None else {G.identity}
@@ -126,7 +113,7 @@ def member_witness(report: ClassReport, y) -> tuple:
 def member_stationary_subgroups(report: ClassReport, y) -> tuple:
     """(E_inf^y, G_inf^y) transported from the class witness via y's
     witness pair, using the conjugation identity of the coarse relation."""
-    c = report.class_of(y)
+    c = report.part_of(y)
     if c.e_infinity is None:
         raise InputError("fine-orbit reports carry no stationary subgroups")
     e, _ = member_witness(report, y)
@@ -141,8 +128,8 @@ def coarsening_check(fine: ClassReport, coarse: ClassReport) -> bool:
     if fine.datum is not coarse.datum:
         raise InputError("reports belong to different zip data")
     for c in fine.classes:
-        target = coarse.witness_of(c.witness)
-        if any(coarse.witness_of(m) != target for m in c.members):
+        target = coarse.rep_of[c.witness]
+        if any(coarse.rep_of[m] != target for m in c.members):
             return False
     return True
 
@@ -170,10 +157,10 @@ def refinement_bijection_check(z: ZipDatum, x, *, coarse: ClassReport | None = N
     seen_targets = set()
     for c in sub.classes:
         image = frozenset(G.mul(y, x) for y in c.members)
-        big = coarse.class_of(G.mul(c.witness, x)).members
+        big = coarse.part_of(G.mul(c.witness, x)).members
         if image != big & carrier_x:
             return False
-        target = coarse.witness_of(G.mul(c.witness, x))
+        target = coarse.rep_of[G.mul(c.witness, x)]
         if target in seen_targets:
             return False
         seen_targets.add(target)
@@ -201,7 +188,7 @@ def torsor_check(z: ZipDatum, x, *, report: ClassReport | None = None) -> bool:
     ginf = trace.g_infinity.elements
 
     if report is not None:
-        class_members = report.class_of(x).members
+        class_members = report.part_of(x).members
     else:
         class_members = _coarse_class(z, x, trace.g_infinity, _class_moves(z))
 
@@ -290,7 +277,7 @@ def groupoid_equivalence_check(z: ZipDatum, x, y, e, e_tilde) -> bool:
     oy = fine_orbits(zy1)
     image_witnesses = set()
     for c in ox.classes:
-        targets = {oy.witness_of(psi_g[g]) for g in c.members}
+        targets = {oy.rep_of[psi_g[g]] for g in c.members}
         if len(targets) != 1:
             return False
         image_witnesses.add(targets.pop())

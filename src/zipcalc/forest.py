@@ -11,13 +11,7 @@ is stable; classification walks the materialized part.
 
 from __future__ import annotations
 
-from .groups import (
-    DoubleCosetDecomposition,
-    InputError,
-    InvariantViolation,
-    Record,
-    double_cosets,
-)
+from .groups import InputError, InvariantViolation, Partition, Record, double_cosets
 from .zipdata import ZipDatum, is_tau_surjective, refine, twist
 
 
@@ -34,7 +28,7 @@ class ForestNode:
         self.accumulated = accumulated
         self.datum = datum
         self.stable = stable
-        self.decomposition: DoubleCosetDecomposition | None = None
+        self.decomposition: Partition | None = None
         self.children: tuple = ()
         self._child_by_element: dict = {}
 
@@ -118,8 +112,7 @@ def build_forest(z: ZipDatum) -> RepForest:
     cache: dict = {}
     root_dec = double_cosets(G, z.tau_image, z.sigma_image)
     roots = []
-    for coset in root_dec.cosets:
-        rep = coset.representative
+    for rep in root_dec.representatives():
         d = _node_datum(z, rep, 1, cache)
         roots.append(ForestNode(rep, None, 0, rep, d, is_tau_surjective(d)))
     generations = [tuple(roots)]
@@ -135,8 +128,7 @@ def build_forest(z: ZipDatum) -> RepForest:
             else:
                 dec = double_cosets(node.datum.G, node.datum.tau_image, node.datum.sigma_image)
                 node.decomposition = dec
-                for coset in dec.cosets:
-                    rep = coset.representative
+                for rep in dec.representatives():
                     acc = G.mul(rep, node.accumulated)
                     d = _node_datum(z, acc, node.generation + 2, cache)
                     children.append(

@@ -87,10 +87,17 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
+def _index(v) -> int:
+    """operator.index, refusing the bools that JSON true and false load as."""
+    if isinstance(v, bool):
+        raise TypeError("a bool is not an integer")
+    return operator.index(v)
+
+
 def _int_tuple(values, what: str) -> tuple:
     """values as a tuple of ints; anything else is an InputError."""
     try:
-        return tuple(operator.index(v) for v in values)
+        return tuple(map(_index, values))
     except TypeError:
         raise InputError(f"{what} must be a list of integers, got {values!r}") from None
 
@@ -146,23 +153,48 @@ def _orbit(seeds, moves) -> set:
     return members
 
 
-def _partition(carrier, part_of):
-    """(parts, rep_of): part_of(x), whose ``members`` hold x, for each x of
-    the carrier in key order that no earlier part covers, and each element's x.
+class Partition:
+    """A partition of a carrier: ``parts`` maps each representative to its
+    part, in key order, and ``rep_of`` maps each element to its part's
+    representative.  Iterating yields the parts."""
+
+    def __init__(self, parts: dict, rep_of: dict):
+        self.parts = parts
+        self.rep_of = rep_of
+
+    def part_of(self, x):
+        try:
+            return self.parts[self.rep_of[x]]
+        except KeyError:
+            raise InputError("element outside the carrier") from None
+
+    def representatives(self) -> tuple:
+        return tuple(self.parts)
+
+    def __len__(self):
+        return len(self.parts)
+
+    def __iter__(self):
+        return iter(self.parts.values())
+
+
+def _partition(carrier, make_part) -> Partition:
+    """make_part(x), whose ``members`` hold x, for each x of the carrier in
+    key order that no earlier part covers, with x as its representative.
     That the parts are disjoint and cover the carrier is asserted, not assumed."""
     rep_of = {}
-    parts = []
+    parts = {}
     for x in carrier:
         if x in rep_of:
             continue
-        part = part_of(x)
+        part = make_part(x)
         if not rep_of.keys().isdisjoint(part.members):
             raise InvariantViolation("parts of the carrier overlap")
         rep_of.update(dict.fromkeys(part.members, x))
-        parts.append(part)
+        parts[x] = part
     if len(rep_of) != len(carrier):
         raise InvariantViolation("parts failed to cover the carrier")
-    return tuple(parts), rep_of
+    return Partition(parts, rep_of)
 
 
 def _light_associative(table, gens) -> bool:
@@ -808,34 +840,6 @@ class DoubleCoset(Record):
     __slots__ = _fields = ("representative", "members")
 
 
-class DoubleCosetDecomposition:
-    """Partition of a carrier into left\\ambient/right double cosets.
-
-    Representatives are the key-minimal members; cosets are listed in
-    representative order.
-    """
-
-    def __init__(self, cosets, rep_of):
-        self.cosets = cosets
-        self.rep_of = rep_of
-
-    def __len__(self):
-        return len(self.cosets)
-
-    def __iter__(self):
-        return iter(self.cosets)
-
-    def representatives(self) -> tuple:
-        return tuple(c.representative for c in self.cosets)
-
-    @cached_property
-    def _coset_by_rep(self) -> dict:
-        return {c.representative: c for c in self.cosets}
-
-    def coset_of(self, x) -> DoubleCoset:
-        return self._coset_by_rep[self.rep_of[x]]
-
-
 def _double_coset_moves(ambient: FiniteGroup, left: Subgroup, right: Subgroup) -> list:
     """Left products by the generators of left, right products by those of
     right: the moves whose orbit of x is left * x * right."""
@@ -856,8 +860,7 @@ def double_coset_of(ambient: FiniteGroup, left: Subgroup, right: Subgroup, x) ->
     return frozenset(_orbit([x], moves))
 
 
-def double_cosets(ambient: FiniteGroup, left: Subgroup, right: Subgroup) -> DoubleCosetDecomposition:
+def double_cosets(ambient: FiniteGroup, left: Subgroup, right: Subgroup) -> Partition:
     """Deterministic double-coset partition with key-minimal representatives."""
     moves = _double_coset_moves(ambient, left, right)
-    cosets, rep_of = _partition(ambient.elements, lambda x: DoubleCoset(x, frozenset(_orbit([x], moves))))
-    return DoubleCosetDecomposition(cosets, rep_of)
+    return _partition(ambient.elements, lambda x: DoubleCoset(x, frozenset(_orbit([x], moves))))

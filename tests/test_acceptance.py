@@ -27,7 +27,6 @@ from zipcalc import (
     refinement_bijection_check,
     torsor_check,
     twist,
-    zip_classes,
 )
 from zipcalc.cli import EXIT_OK, main as cli_main
 

@@ -316,6 +316,30 @@ def _table_sigma(literal):
              "tau": {"type": "trivial"}, "sigma": {"type": "trivial"}},
             id="permutation-degree-negative",
         ),
+        pytest.param(
+            {"name": [1, {"a": 2}], "preset": {"kind": "zoo", "entry": "s3-mixed"}},
+            id="name-not-a-string",
+        ),
+        pytest.param(
+            {"seed": True, "preset": {"kind": "zoo", "entry": "s3-mixed"}},
+            id="seed-boolean",
+        ),
+        pytest.param(
+            {"groups": {"E": {"backend": "permutation", "degree": True, "generators": []},
+                        "G": {"backend": "permutation", "degree": True, "generators": []}},
+             "tau": {"type": "trivial"}, "sigma": {"type": "trivial"}},
+            id="permutation-degree-boolean",
+        ),
+        pytest.param(
+            {"groups": {"E": {"backend": "permutation", "degree": 3, "generators": [[True, False, 2]]}, "G": PERM3},
+             "tau": {"type": "trivial"}, "sigma": {"type": "trivial"}},
+            id="permutation-generator-boolean",
+        ),
+        pytest.param(
+            {"groups": {"E": {"backend": "cayley", "table": [[0, True], [True, 0]]}, "G": PERM3},
+             "tau": {"type": "trivial"}, "sigma": {"type": "trivial"}},
+            id="cayley-entry-boolean",
+        ),
     ],
 )
 def test_parse_failures_exit_two_naming_the_config(tmp_path, capsys, payload):
@@ -568,6 +592,14 @@ def test_verify_exit_code_reflects_failures(witt22_config, tmp_path, capsys, mon
     code, out, _ = run(capsys, "--config", str(witt22_config), "--command", "verify")
     assert code == EXIT_CHECK
     assert "FAIL" in out
+
+
+def test_zoo_command_refuses_twist(tmp_path, capsys):
+    code, out, err = run(capsys, "--command", "zoo", "--twist", "(0 1)", "--out", str(tmp_path / "zoo"))
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("config error: --twist: ")
+    assert not (tmp_path / "zoo").exists()
 
 
 def test_zoo_command_all_checks_pass(tmp_path, capsys):

@@ -11,7 +11,6 @@ from zipcalc import (
     ZipDatum,
     build_witt_zip,
     coarsening_check,
-    conjugate,
     double_cosets,
     fine_orbits,
     groupoid_equivalence_check,
@@ -23,6 +22,7 @@ from zipcalc import (
     twist,
     zip_classes,
 )
+from zipcalc.groups import Partition
 
 
 # -- fine orbits -----------------------------------------------------------------
@@ -36,7 +36,7 @@ def test_fine_orbits_trivial_e(zoo):
 
 def test_fine_orbits_fix_identity_when_tau_equals_sigma(zoo):
     report = fine_orbits(zoo["s3-reflection-pair"])
-    identity_class = report.class_of(zoo["s3-reflection-pair"].G.identity)
+    identity_class = report.part_of(zoo["s3-reflection-pair"].G.identity)
     assert identity_class.members == frozenset([zoo["s3-reflection-pair"].G.identity])
 
 
@@ -132,6 +132,33 @@ def test_zip_classes_deterministic_under_input_shuffle():
     r1 = zip_classes(z1)
     r2 = zip_classes(z2)
     assert [(c.witness, c.members) for c in r1.classes] == [(c.witness, c.members) for c in r2.classes]
+
+
+# -- the partition contract ------------------------------------------------------
+
+PARTITIONS = {
+    "double-cosets": lambda z: double_cosets(z.G, z.tau_image, z.sigma_image),
+    "fine-orbits": fine_orbits,
+    "zip-classes": zip_classes,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PARTITIONS))
+def test_partition_contract(zoo, witt22, kind):
+    for name, z in [*zoo.items(), ("witt-p2-n2", witt22[0])]:
+        partition = PARTITIONS[kind](z)
+        assert isinstance(partition, Partition), name
+        reps = partition.representatives()
+        assert reps == tuple(partition.parts) == tuple(sorted(reps)), name
+        assert len(partition) == len(reps), name
+        assert list(partition) == list(partition.parts.values()), name
+        assert set(partition.rep_of.values()) == set(reps), name
+        for y in z.G:
+            part = partition.part_of(y)
+            assert y in part.members, name
+            assert part is partition.parts[partition.rep_of[y]], name
+        with pytest.raises(InputError):
+            partition.part_of(None)
 
 
 # -- coarsening ------------------------------------------------------------------

@@ -68,7 +68,7 @@ def test_classify_identity_path(zoo):
     forest = build_forest(z)
     path = classify(forest, z.G.identity)
     assert path.entries[0] == forest.root_decomposition.rep_of[z.G.identity]
-    assert reconstruct(path) in zip_classes(z).class_of(z.G.identity).members
+    assert reconstruct(path) in zip_classes(z).part_of(z.G.identity).members
 
 
 def test_classify_witt_antidiagonal(witt22):
@@ -111,7 +111,7 @@ def test_classify_lands_in_same_class(witt23):
     report = zip_classes(z)
     for x in z.G.elements[::7]:
         y = reconstruct(classify(forest, x))
-        assert report.witness_of(y) == report.witness_of(x)
+        assert report.rep_of[y] == report.rep_of[x]
 
 
 def test_limit_bijection_small_corpus(zoo):
@@ -143,7 +143,7 @@ def test_per_root_path_counts_match_class_counts(witt23, zoo):
         forest = build_forest(z)
         report = zip_classes(z)
         for root in forest.roots:
-            coset = forest.root_decomposition.coset_of(root.element).members
+            coset = forest.root_decomposition.part_of(root.element).members
             class_count = sum(1 for c in report.classes if c.members & coset)
             leaves_below = [leaf for leaf in forest.leaves if leaf.path_elements()[0] == root.element]
             assert len(leaves_below) == class_count

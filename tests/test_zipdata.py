@@ -20,7 +20,6 @@ from zipcalc import (
     trivial_hom,
     twist,
     twist_refine_identity_check,
-    zoo_entry,
 )
 
 
@@ -260,7 +259,7 @@ def test_characterization_witt(witt22):
 
 
 def test_characterization_random_permutation_data(s4):
-    from zipcalc import closure, conjugation_hom, Homomorphism
+    from zipcalc import closure, Homomorphism
 
     sub = closure(s4, [(1, 0, 2, 3), (0, 2, 1, 3)]).as_group()
     incl = inclusion_hom(sub, s4)
