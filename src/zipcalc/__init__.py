@@ -26,12 +26,9 @@ _EXPORTS = {
         "conjugation_hom",
         "double_coset_of",
         "double_cosets",
-        "full_subgroup",
         "hom_from_generator_images",
-        "identity_hom",
         "inclusion_hom",
         "trivial_hom",
-        "trivial_subgroup",
     ),
     "zipdata": (
         "RefinementTrace",

@@ -98,7 +98,7 @@ def _build_group(spec, where: str, max_order: int | None = None) -> FiniteGroup:
     except ResourceLimitExceeded as exc:
         raise ResourceLimitExceeded(f"{where}: {exc} exceeds --max-order {max_order}") from None
     except InputError as exc:
-        _fail(where, str(exc))
+        _fail(f"{where}.{exc.at}" if exc.at else where, str(exc))
     _fail(f"{where}.backend", f"unknown backend {backend!r}")
 
 
@@ -339,8 +339,9 @@ def main(argv=None) -> int:
             raise ConfigError('no command given: pass --command or set "command" in the config')
         out_dir = args.out if args.out is not None else (job.out if job else None)
         if command == "zoo":
-            if args.twist is not None:
-                raise ConfigError("--twist: the zoo command runs the built-in data untwisted")
+            if args.twist is not None or (job and job.twist_literal is not None):
+                where = "--twist" if args.twist is not None else f"{args.config}.twist"
+                raise ConfigError(f"{where}: the zoo command runs the built-in data untwisted")
             seed = job.seed if job else 0
             files, lines, passed = {}, [], True
             for entry, datum in build_small_zoo().items():

@@ -68,11 +68,6 @@ def _class_moves(z: ZipDatum) -> list:
     return [lambda y, a=a, binv=binv: mul(mul(a, y), binv) for a, binv in z.action_generators]
 
 
-def _coarse_class(z: ZipDatum, x, ginf: Subgroup, moves) -> frozenset:
-    """{ a * g * x * b^-1 : (a, b) in P, g in G_inf^x }, the orbit of G_inf^x * x."""
-    return frozenset(_orbit([z.G.mul(g, x) for g in ginf.members], moves))
-
-
 def fine_orbits(z: ZipDatum) -> ClassReport:
     """Orbits of e.g = tau(e) * g * sigma(e)^-1 on the carrier of G."""
     moves = _class_moves(z)
@@ -82,13 +77,15 @@ def fine_orbits(z: ZipDatum) -> ClassReport:
 
 def zip_classes(z: ZipDatum) -> ClassReport:
     """The coarse partition of G, one stationary-refinement run per witness:
-    the class of x is { tau(e) * g * x * sigma(e)^-1 : e in E, g in G_inf^x }."""
+    the class of x is { tau(e) * g * x * sigma(e)^-1 : e in E, g in G_inf^x },
+    the orbit of G_inf^x * x under the pair group."""
     moves = _class_moves(z)
 
     def coarse(x):
         trace = refine_to_stationary(twist(z, x))
         ginf = trace.g_infinity
-        return ZipClass(x, _coarse_class(z, x, ginf, moves), trace.e_infinity, ginf)
+        members = frozenset(_orbit([z.G.mul(g, x) for g in ginf.members], moves))
+        return ZipClass(x, members, trace.e_infinity, ginf)
 
     return ClassReport(z, "zip-coarse", _partition(z.G.elements, coarse))
 
@@ -97,7 +94,8 @@ def member_witness(report: ClassReport, y) -> tuple:
     """(e, g) with y = tau(e) * g * x * sigma(e)^-1, x the witness of y's
     class and g in G_inf^x (g = 1 for fine orbits), found on demand: from the
     first pair (a, b) of action_pairs whose g = a^-1 * y * b * x^-1 qualifies,
-    with e the pair's key-minimal element of E."""
+    with e the pair's key-minimal element of E.  It exhibits the definition
+    of the relation, y ~ x, for each member of a class."""
     c = report.part_of(y)
     z = report.datum
     G = z.G
@@ -112,7 +110,8 @@ def member_witness(report: ClassReport, y) -> tuple:
 
 def member_stationary_subgroups(report: ClassReport, y) -> tuple:
     """(E_inf^y, G_inf^y) transported from the class witness via y's
-    witness pair, using the conjugation identity of the coarse relation."""
+    witness pair, using the conjugation identity of the coarse relation:
+    E_inf^y = e * E_inf^x * e^-1 for y = tau(e) * g * x * sigma(e)^-1."""
     c = report.part_of(y)
     if c.e_infinity is None:
         raise InputError("fine-orbit reports carry no stationary subgroups")
@@ -127,16 +126,13 @@ def coarsening_check(fine: ClassReport, coarse: ClassReport) -> bool:
     """True iff every fine orbit lies inside a single coarse class."""
     if fine.datum is not coarse.datum:
         raise InputError("reports belong to different zip data")
-    for c in fine.classes:
-        target = coarse.rep_of[c.witness]
-        if any(coarse.rep_of[m] != target for m in c.members):
-            return False
-    return True
+    return all(len({coarse.rep_of[m] for m in c.members}) == 1 for c in fine.classes)
 
 
-def refinement_bijection_check(z: ZipDatum, x, *, coarse: ClassReport | None = None) -> bool:
+def refinement_bijection_check(z: ZipDatum, x, *, coarse: ClassReport) -> bool:
     """Check that y -> y*x matches classes of the refined x-twist with the
-    classes of z inside the double coset tau(E) * x * sigma(E).
+    classes of ``coarse``, the report of z, inside the double coset
+    tau(E) * x * sigma(E).
 
     Verifies the member-level identity (class of y) * x =
     (class of y*x) ∩ (refined carrier) * x, then bijectivity onto the classes
@@ -145,9 +141,7 @@ def refinement_bijection_check(z: ZipDatum, x, *, coarse: ClassReport | None = N
     G = z.G
     if x not in G:
         raise InputError("element outside the carrier of G")
-    if coarse is None:
-        coarse = zip_classes(z)
-    elif coarse.datum is not z:
+    if coarse.datum is not z:
         raise InputError("coarse report belongs to a different zip datum")
     z1x = refine(twist(z, x))
     sub = zip_classes(z1x)
@@ -157,21 +151,19 @@ def refinement_bijection_check(z: ZipDatum, x, *, coarse: ClassReport | None = N
     seen_targets = set()
     for c in sub.classes:
         image = frozenset(G.mul(y, x) for y in c.members)
-        big = coarse.part_of(G.mul(c.witness, x)).members
-        if image != big & carrier_x:
+        big = coarse.part_of(G.mul(c.witness, x))
+        if image != big.members & carrier_x or big.witness in seen_targets:
             return False
-        target = coarse.rep_of[G.mul(c.witness, x)]
-        if target in seen_targets:
-            return False
-        seen_targets.add(target)
+        seen_targets.add(big.witness)
     return seen_targets == expected_targets
 
 
-def torsor_check(z: ZipDatum, x, *, report: ClassReport | None = None) -> bool:
+def torsor_check(z: ZipDatum, x, *, report: ClassReport) -> bool:
     """Check that P x G_inf^x -> class(x), ((a, b), g) -> a*g*x*b^-1, is onto
-    the class and that every fiber is one free orbit of the stationary pair
-    group P_inf^x acting by (u, w).((a, b), g) = ((a*u^-1, b*v^-1), u*g*w^-1),
-    where (u, v) and (u, w) are one element's pairs in z and its x-twist.
+    the class of x in ``report`` and that every fiber is one free orbit of
+    the stationary pair group P_inf^x acting by
+    (u, w).((a, b), g) = ((a*u^-1, b*v^-1), u*g*w^-1), where (u, v) and
+    (u, w) are one element's pairs in z and its x-twist.
 
     This is the class map on E x G_inf^x, where eps acts by
     (e*eps^-1, tau(eps)*g*(x-twisted sigma)(eps)^-1), divided by
@@ -182,26 +174,20 @@ def torsor_check(z: ZipDatum, x, *, report: ClassReport | None = None) -> bool:
     G = z.G
     if x not in G:
         raise InputError("element outside the carrier of G")
-    if report is not None and report.datum is not z:
+    if report.datum is not z:
         raise InputError("report belongs to a different zip datum")
     trace = refine_to_stationary(twist(z, x))
-    ginf = trace.g_infinity.elements
-
-    if report is not None:
-        class_members = report.part_of(x).members
-    else:
-        class_members = _coarse_class(z, x, trace.g_infinity, _class_moves(z))
 
     pairs = [(a, b) for a, b, _ in z.action_pairs]
     index = {p: i for i, p in enumerate(pairs)}
-    gx = [(g, G.mul(g, x)) for g in ginf]
+    gx = [(g, G.mul(g, x)) for g in trace.g_infinity.elements]
     fibers = {}
     for i, (a, b) in enumerate(pairs):
         binv = G.inv(b)
         for g, g_x in gx:
             fibers.setdefault(G.mul(G.mul(a, g_x), binv), []).append((i, g))
 
-    if frozenset(fibers) != class_members:
+    if frozenset(fibers) != report.part_of(x).members:
         return False
     stationary_pairs = trace.stationary_datum.action_pairs
     size = len(stationary_pairs)

@@ -189,7 +189,8 @@ def classify(forest: RepForest, x) -> ClassificationPath:
 
 
 def reconstruct(path: ClassificationPath):
-    """The product r_N * ... * r_0 over the materialized generations."""
+    """The product r_N * ... * r_0 over the materialized generations: an
+    element of the class the path classifies, whose own path it is."""
     G = path.group
     out = path.entries[0]
     for r in path.entries[1:]:

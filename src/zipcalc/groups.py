@@ -24,7 +24,9 @@ Element = object
 
 
 class InputError(ValueError):
-    """An argument violates a documented precondition."""
+    """An argument violates a documented precondition; ``at`` names the item at fault."""
+
+    at = ""
 
 
 class InvariantViolation(RuntimeError):
@@ -87,19 +89,27 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
-def _index(v) -> int:
-    """operator.index, refusing the bools that JSON true and false load as."""
-    if isinstance(v, bool):
-        raise TypeError("a bool is not an integer")
-    return operator.index(v)
-
-
 def _int_tuple(values, what: str) -> tuple:
-    """values as a tuple of ints; anything else is an InputError."""
+    """values as a tuple of ints; anything else, the bools that JSON true and
+    false load as included, is an InputError."""
     try:
-        return tuple(map(_index, values))
+        if not any(isinstance(v, bool) for v in values):
+            return tuple(map(operator.index, values))
     except TypeError:
-        raise InputError(f"{what} must be a list of integers, got {values!r}") from None
+        pass
+    raise InputError(f"{what} must be a list of integers, got {values!r}")
+
+
+def _items(name: str, values, convert) -> tuple:
+    """convert(i, v) per item v of the argument called name; an InputError gets at = name[i]."""
+    out = []
+    for i, v in enumerate(values):
+        try:
+            out.append(convert(i, v))
+        except InputError as exc:
+            exc.at = f"{name}[{i}]"
+            raise
+    return tuple(out)
 
 
 def _mulclose(mul, identity, candidates, carrier=None, limit=None):
@@ -298,7 +308,7 @@ class FiniteGroup:
         order (Holt, Eick and O'Brien, Handbook of Computational Group
         Theory, 2005).
         """
-        gens = [self._check_element(g) for g in generators]
+        gens = _items("generators", generators, lambda _, g: self._check_element(g))
         return self.restrict(_mulclose(self.mul, self.identity, gens, limit=max_order)[0])
 
     # -- eager checks ---------------------------------------------------------
@@ -569,15 +579,18 @@ class CayleyTableGroup(FiniteGroup):
     _space_fields = ("table", "inv_table")
 
     def __init__(self, table):
-        table = tuple(_int_tuple(row, f"Cayley table row {i}") for i, row in enumerate(table))
         n = len(table)
-        for i, row in enumerate(table):
+
+        def check_row(i, values):
+            row = _int_tuple(values, f"Cayley table row {i}")
             if len(row) != n:
                 raise InputError(f"Cayley table row {i} has length {len(row)}, expected {n}")
             for x in row:
                 if not 0 <= x < n:
                     raise InputError(f"Cayley table entry {x} outside 0..{n - 1}")
-        self.table = table
+            return row
+
+        self.table = table = _items("table", table, check_row)
         identity = None
         for e in range(n):
             if all(table[e][i] == i and table[i][e] == i for i in range(n)):
@@ -662,37 +675,19 @@ class Subgroup:
     def __repr__(self):
         return f"<Subgroup order={self.order} of {self.ambient!r}>"
 
-    def is_full(self) -> bool:
-        return self.members == self.ambient.element_set
-
     @cached_property
     def generating_set(self) -> tuple:
+        """The greedy generators; computing them certifies the subgroup, with
+        an InputError for members that miss the identity or are not closed."""
         return self.as_group().generators
 
     @cached_property
     def _as_group(self) -> FiniteGroup:
-        return self.ambient if self.is_full() else self.ambient.restrict(self.elements)
+        return self.ambient if self.members == self.ambient.element_set else self.ambient.restrict(self.elements)
 
     def as_group(self) -> FiniteGroup:
         """The subgroup as a standalone group sharing element values."""
         return self._as_group
-
-    def validate(self):
-        """Check identity membership and the closure certificate: the greedy
-        generators' closure stays inside and covers.  The ambient group is
-        certified, so a finite subset closed under its products holds each
-        inverse as a power."""
-        if self.ambient.identity not in self.members:
-            raise InputError("subgroup does not contain the identity")
-        self.generating_set  # raises once a product leaves the members
-
-
-def full_subgroup(group: FiniteGroup) -> Subgroup:
-    return Subgroup(group, group.element_set)
-
-
-def trivial_subgroup(group: FiniteGroup) -> Subgroup:
-    return Subgroup(group, frozenset([group.identity]))
 
 
 def closure(ambient: FiniteGroup, generators) -> Subgroup:
@@ -705,7 +700,8 @@ def closure(ambient: FiniteGroup, generators) -> Subgroup:
 
 
 def conjugate(sub: Subgroup, x) -> Subgroup:
-    """The subgroup {x * h * x^-1 : h in sub}."""
+    """The subgroup {x * h * x^-1 : h in sub}: the transport of stationary
+    subgroups along a class, E_inf^y = e * E_inf^x * e^-1 (equivalence)."""
     amb = sub.ambient
     if x not in amb:
         raise InputError("conjugating element outside the ambient carrier")
@@ -761,13 +757,9 @@ class Homomorphism:
                     f"{src.format_element(s)})"
                 )
 
-    def image(self, sub: Subgroup | None = None) -> Subgroup:
-        """Image of a subgroup of the source (the whole source by default)."""
-        if sub is None:
-            return Subgroup(self.target, frozenset(self.table.values()))
-        if sub.ambient.space() != self.source.space() or not sub.members <= self.source.element_set:
-            raise InputError("image argument is not a subgroup of the source")
-        return Subgroup(self.target, frozenset(self.table[e] for e in sub.members))
+    def image(self) -> Subgroup:
+        """The image of the source, a subgroup of the target."""
+        return Subgroup(self.target, frozenset(self.table.values()))
 
     def preimage(self, sub: Subgroup) -> Subgroup:
         """Full preimage of a subgroup of the target."""
@@ -775,10 +767,6 @@ class Homomorphism:
             raise InputError("preimage argument is not a subgroup of the target")
         want = sub.members
         return Subgroup(self.source, frozenset(e for e in self.source.elements if self.table[e] in want))
-
-
-def identity_hom(group: FiniteGroup) -> Homomorphism:
-    return Homomorphism(group, group, {a: a for a in group}, check=False)
 
 
 def inclusion_hom(sub_group: FiniteGroup, ambient: FiniteGroup) -> Homomorphism:

@@ -100,7 +100,7 @@ def run_verification(z: ZipDatum, *, seed: int = 0) -> list:
     results.append(
         CheckResult(
             "torsor",
-            all(torsor_check(z, r) for r in roots),
+            all(torsor_check(z, r, report=coarse) for r in roots),
             f"roots={len(roots)}",
         )
     )

@@ -23,7 +23,6 @@ from .groups import (
     Record,
     closure,
     conjugation_hom,
-    identity_hom,
     inclusion_hom,
     trivial_hom,
 )
@@ -141,7 +140,7 @@ def build_small_zoo() -> dict:
     e_trivial = closure(s3, []).as_group()
     zoo["trivial-e"] = ZipDatum(e_trivial, s3, trivial_hom(e_trivial, s3), trivial_hom(e_trivial, s3))
 
-    zoo["tau-surjective"] = ZipDatum(s3, s3, identity_hom(s3), conjugation_hom(s3, (1, 0, 2)))
+    zoo["tau-surjective"] = ZipDatum(s3, s3, inclusion_hom(s3, s3), conjugation_hom(s3, (1, 0, 2)))
 
     c2 = closure(s3, [(1, 0, 2)]).as_group()
     zoo["s3-reflection-pair"] = ZipDatum(c2, s3, inclusion_hom(c2, s3), inclusion_hom(c2, s3))
@@ -154,7 +153,7 @@ def build_small_zoo() -> dict:
 
     c2cube = CayleyTableGroup(_xor_table(3))
     project = Homomorphism(c2cube, c2cube, {v: v & 0b011 for v in c2cube})
-    zoo["c2cube-projection"] = ZipDatum(c2cube, c2cube, identity_hom(c2cube), project)
+    zoo["c2cube-projection"] = ZipDatum(c2cube, c2cube, inclusion_hom(c2cube, c2cube), project)
 
     gl2 = MatrixGroup.general_linear(2, 2)
     borel = closure(gl2, [(1, 1, 0, 1)]).as_group()

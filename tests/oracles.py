@@ -165,6 +165,71 @@ def naive_torsor_check(z, x):
     return True
 
 
+def naive_refined_e(z, x):
+    """E_1 of the refined x-twist over the tables of tau and sigma:
+    {e in E : x * sigma(e) * x^-1 in tau(E)}."""
+    G = z.G
+    tau_values = set(z.tau.table.values())
+    xinv = G.inv(x)
+    return frozenset(e for e, b in z.sigma.table.items() if G.mul(G.mul(x, b), xinv) in tau_values)
+
+
+def naive_groupoid_equivalence_check(z, x, y, e, e_tilde):
+    """The groupoid statement for y = tau(e) * x * sigma(e~), over the tables
+    of tau and sigma and on elements of E, not pairs.
+
+    The refined w-twist (w = x, y) has E_1^w = naive_refined_e(z, w) acting on
+    G_1 = tau(E) by eps.g = tau(eps) * g * (w * sigma(eps) * w^-1)^-1.  With
+    psi_E(eps) = e~^-1 * eps * e~ and psi_G(g) = tau(e~)^-1 * g * x * sigma(e~) * y^-1:
+    psi_E maps E_1^x onto E_1^y, psi_G maps G_1 onto G_1,
+    psi_G(eps.g) = psi_E(eps).psi_G(g) for every eps in E_1^x and g in G_1,
+    psi_G maps each orbit onto an orbit, and psi_E maps the stabilizer of
+    each g onto the stabilizer of psi_G(g).
+    """
+    G, E = z.G, z.E
+    tau, sigma = z.tau.table, z.sigma.table
+    g1 = frozenset(tau.values())
+
+    def side(w):
+        winv = G.inv(w)
+        e1 = naive_refined_e(z, w)
+        act = {
+            (eps, g): G.mul(G.mul(tau[eps], g), G.inv(G.mul(G.mul(w, sigma[eps]), winv)))
+            for eps in e1
+            for g in g1
+        }
+        return e1, act
+
+    e1x, act_x = side(x)
+    e1y, act_y = side(y)
+    et_inv = E.inv(e_tilde)
+    psi_e = {eps: E.mul(E.mul(et_inv, eps), e_tilde) for eps in e1x}
+    shift = G.mul(G.mul(x, sigma[e_tilde]), G.inv(y))
+    t_inv = G.inv(tau[e_tilde])
+    psi_g = {g: G.mul(G.mul(t_inv, g), shift) for g in g1}
+    if frozenset(psi_e.values()) != e1y or frozenset(psi_g.values()) != g1:
+        return False
+    if any(psi_g[act_x[eps, g]] != act_y[psi_e[eps], psi_g[g]] for eps in e1x for g in g1):
+        return False
+
+    def orbit(e1, act, g):
+        members, frontier = {g}, [g]
+        while frontier:
+            fresh = {act[eps, h] for eps in e1 for h in frontier} - members
+            members |= fresh
+            frontier = list(fresh)
+        return frozenset(members)
+
+    for g in g1:
+        if frozenset(psi_g[h] for h in orbit(e1x, act_x, g)) != orbit(e1y, act_y, psi_g[g]):
+            return False
+        stab_x = {eps for eps in e1x if act_x[eps, g] == g}
+        stab_y = {eps for eps in e1y if act_y[eps, psi_g[g]] == psi_g[g]}
+        if {psi_e[eps] for eps in stab_x} != stab_y:
+            return False
+    return True
+
+
 def brute_force_gl2_carrier(modulus, divisor=1):
     """All invertible 2x2 matrices over Z/modulus with lower-left entry
     divisible by divisor, by a sweep over every entry quadruple."""

@@ -349,6 +349,43 @@ def test_parse_failures_exit_two_naming_the_config(tmp_path, capsys, payload):
     assert err.startswith(f"config error: {cfg}")
 
 
+@pytest.mark.parametrize(
+    "group, path, message",
+    [
+        pytest.param(
+            {"backend": "permutation", "degree": 3, "generators": [[1, 0, 2], [True, False, 2]]},
+            "generators[1]",
+            "permutation must be a list of integers, got [True, False, 2]",
+            id="permutation-generator",
+        ),
+        pytest.param(
+            {"backend": "matrix", "size": 2, "modulus": 2, "generators": [[1, 1, 0, 1], [0, 0, 0, 0]]},
+            "generators[1]",
+            "matrix [0,0,0,0] is not invertible mod 2",
+            id="matrix-generator",
+        ),
+        pytest.param(
+            {"backend": "cayley", "table": [[0, 1], [1, "z"]]},
+            "table[1]",
+            "Cayley table row 1 must be a list of integers, got [1, 'z']",
+            id="cayley-row",
+        ),
+        pytest.param(
+            {"backend": "cayley", "table": [[0, 1], [1, 0, 2]]},
+            "table[1]",
+            "Cayley table row 1 has length 3, expected 2",
+            id="cayley-row-length",
+        ),
+    ],
+)
+def test_bad_generator_or_row_is_named_by_its_path(tmp_path, capsys, group, path, message):
+    payload = {"groups": {"E": group, "G": PERM3}, "tau": {"type": "trivial"}, "sigma": {"type": "trivial"}}
+    cfg = write_config(tmp_path, "badgroup.json", payload)
+    code, _, err = run(capsys, "--config", str(cfg), "--command", "classes")
+    assert code == EXIT_CONFIG
+    assert err == f"config error: {cfg}.groups.E.{path}: {message}\n"
+
+
 def test_max_order_refuses_witt_preset_before_building(tmp_path, capsys, monkeypatch):
     def unreachable(config):
         raise AssertionError("build_witt_zip ran despite --max-order")
@@ -600,6 +637,18 @@ def test_zoo_command_refuses_twist(tmp_path, capsys):
     assert out == ""
     assert err.startswith("config error: --twist: ")
     assert not (tmp_path / "zoo").exists()
+
+
+def test_zoo_command_refuses_a_config_twist(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        "zootwist.json",
+        {"command": "zoo", "twist": "garbage", "preset": {"kind": "zoo", "entry": "s3-mixed"}},
+    )
+    code, out, err = run(capsys, "--config", str(cfg))
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == f"config error: {cfg}.twist: the zoo command runs the built-in data untwisted\n"
 
 
 def test_zoo_command_all_checks_pass(tmp_path, capsys):

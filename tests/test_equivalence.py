@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from zipcalc import (
@@ -14,6 +16,7 @@ from zipcalc import (
     double_cosets,
     fine_orbits,
     groupoid_equivalence_check,
+    inclusion_hom,
     member_stationary_subgroups,
     member_witness,
     refine_to_stationary,
@@ -207,7 +210,7 @@ def test_strict_coarsening_exists_somewhere(zoo):
 
 def test_refinement_bijection_identity_tau_surjective(zoo):
     z = zoo["tau-surjective"]
-    assert refinement_bijection_check(z, z.G.identity)
+    assert refinement_bijection_check(z, z.G.identity, coarse=zip_classes(z))
 
 
 def test_refinement_bijection_witt(witt22):
@@ -230,29 +233,32 @@ def test_refinement_bijection_all_zoo_roots(zoo):
 
 def test_torsor_trivial_e(zoo):
     z = zoo["trivial-e"]
-    assert torsor_check(z, z.G.identity)
-    assert torsor_check(z, (1, 2, 0))
+    report = zip_classes(z)
+    assert torsor_check(z, z.G.identity, report=report)
+    assert torsor_check(z, (1, 2, 0), report=report)
 
 
 def test_torsor_witt_identity_fiber_size(witt22):
     z, _ = witt22
     trace = refine_to_stationary(z)
     assert trace.e_infinity.order == 16
-    assert torsor_check(z, z.G.identity)
+    assert torsor_check(z, z.G.identity, report=zip_classes(z))
 
 
 def test_torsor_s3_data(zoo):
     for name in ("s3-reflection-pair", "s3-mixed"):
         z = zoo[name]
+        report = zip_classes(z)
         for x in z.G.elements:
-            assert torsor_check(z, x), name
+            assert torsor_check(z, x, report=report), name
 
 
 def test_torsor_matches_naive_full_domain(zoo):
     for name in ("s3-reflection-pair", "s3-mixed", "gl2f2-borel", "trivial-e"):
         z = zoo[name]
+        report = zip_classes(z)
         for x in z.G.elements[:3]:
-            assert torsor_check(z, x) == oracles.naive_torsor_check(z, x), name
+            assert torsor_check(z, x, report=report) == oracles.naive_torsor_check(z, x), name
 
 
 def test_torsor_with_report_members(witt22):
@@ -293,6 +299,24 @@ def test_groupoid_rejects_bad_witnesses(witt22):
     if y != x:
         with pytest.raises(InputError, match="sigma"):
             groupoid_equivalence_check(z, x, y, e, e)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_groupoid_check_matches_naive_oracle(s3, s4, data):
+    # tau the identity keeps every action inside G_1 = G; a corrupted sigma
+    # entry half the time makes both verdicts occur
+    G = data.draw(st.sampled_from([s3, s4]))
+    element = st.sampled_from(G.elements)
+    c = data.draw(element)
+    table = {a: G.conjugate(c, a) for a in G}
+    if data.draw(st.booleans()):
+        table[data.draw(element)] = data.draw(element)
+    z = ZipDatum(G, G, inclusion_hom(G, G), Homomorphism(G, G, table, check=False))
+    x, e, et = data.draw(element), data.draw(element), data.draw(element)
+    y = G.mul(G.mul(z.tau(e), x), z.sigma(et))
+    expected = oracles.naive_groupoid_equivalence_check(z, x, y, e, et)
+    assert groupoid_equivalence_check(z, x, y, e, et) == expected
 
 
 # -- partition sanity across the corpus -------------------------------------------

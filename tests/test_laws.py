@@ -155,12 +155,12 @@ def random_subset(data, group):
 def test_subgroup_certificate_matches_oracle(groups, data):
     group = groups[data.draw(st.sampled_from(["s3", "s4", "gl2f2", "z6"]))]
     members = random_subset(data, group)
-    sub = Subgroup(group, members)
+    # the greedy generating set of a subset is its closure certificate
     if oracles.naive_is_subgroup(group, members):
-        sub.validate()
+        Subgroup(group, members).generating_set
     else:
         with pytest.raises(InputError):
-            sub.validate()
+            Subgroup(group, members).generating_set
 
 
 def ambient_shaped_tuple(data, group):
@@ -186,12 +186,12 @@ def test_carrier_certificate_matches_oracle(groups, data):
         build = lambda: MatrixGroup(ambient.size, ambient.modulus, members)
     if members <= ambient.element_set and oracles.naive_is_subgroup(ambient, members):
         build()
-        Subgroup(ambient, members).validate()
+        Subgroup(ambient, members).generating_set
     else:
         with pytest.raises(InputError):
             build()
         with pytest.raises(InputError):
-            Subgroup(ambient, members).validate()
+            Subgroup(ambient, members).generating_set
 
 
 @given(st.data())

@@ -83,8 +83,7 @@ def test_refine_command_runs_only_the_report_layer(tmp_path):
 EXPORTS = (
     "CayleyTableGroup FiniteGroup Homomorphism InputError InvariantViolation MatrixGroup "
     "PermutationGroup Subgroup closure conjugate conjugation_hom "
-    "double_coset_of double_cosets full_subgroup hom_from_generator_images identity_hom "
-    "inclusion_hom trivial_hom trivial_subgroup "
+    "double_coset_of double_cosets hom_from_generator_images inclusion_hom trivial_hom "
     "RefinementTrace ZipDatum e_infinity_characterization_check is_tau_surjective refine "
     "refine_to_stationary same_zip_datum twist twist_refine_identity_check "
     "ClassReport ZipClass coarsening_check fine_orbits groupoid_equivalence_check "

@@ -11,7 +11,6 @@ from zipcalc import (
     MatrixGroup,
     ZipDatum,
     e_infinity_characterization_check,
-    identity_hom,
     inclusion_hom,
     is_tau_surjective,
     refine,
@@ -25,7 +24,7 @@ from zipcalc import (
 
 def test_zip_datum_rejects_mismatched_homs(s3, gl2f2):
     with pytest.raises(InputError):
-        ZipDatum(s3, s3, identity_hom(s3), trivial_hom(gl2f2, gl2f2))
+        ZipDatum(s3, s3, inclusion_hom(s3, s3), trivial_hom(gl2f2, gl2f2))
 
 
 # -- refine ---------------------------------------------------------------------
