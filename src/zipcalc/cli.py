@@ -43,11 +43,9 @@ class ConfigError(InputError):
 
 
 class Job(Record):
-    """A loaded config: its name, datum, twist literal, seed, and the
-    command and output directory it names, if any."""
+    """A loaded config: its name, datum, twist literal and seed."""
 
-    __slots__ = _fields = ("name", "datum", "twist_literal", "seed", "command", "out")
-    _defaults = {"command": None, "out": None}
+    __slots__ = _fields = ("name", "datum", "twist_literal", "seed")
 
 
 def _fail(where: str, message: str):
@@ -163,10 +161,9 @@ def _build_hom(spec, E: FiniteGroup, G: FiniteGroup, where: str) -> Homomorphism
     _fail(f"{where}.type", f"unknown hom type {kind!r}")
 
 
-def load_job(config_path: Path, max_order: int | None = None) -> Job:
-    """Parse a config into a job.  With max_order, a preset whose closed-form
-    carrier order exceeds it, or a group spec whose closure would, is refused
-    before anything that large is enumerated."""
+def _read_config(config_path: Path) -> tuple:
+    """A config's JSON object and the fields every command reads, each
+    checked: (cfg, twist literal, seed, command, output directory)."""
     where = str(config_path)
     try:
         text = config_path.read_text(encoding="utf-8")
@@ -180,16 +177,11 @@ def load_job(config_path: Path, max_order: int | None = None) -> Job:
         _fail(where, f"invalid JSON: {exc}")
     if not isinstance(cfg, dict):
         _fail(where, "config must be a JSON object")
-
-    name = cfg.get("name")
-    if name is not None and not isinstance(name, str):
-        _fail(f"{where}.name", "name must be a string")
-    name = name or config_path.stem
     seed = cfg.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         _fail(f"{where}.seed", "seed must be an integer")
     twist_literal = cfg.get("twist")
-    if twist_literal is not None and not isinstance(twist_literal, (str, list, int)):
+    if twist_literal is not None and (not isinstance(twist_literal, (str, list, int)) or isinstance(twist_literal, bool)):
         _fail(f"{where}.twist", "twist must be an element literal")
     command = cfg.get("command")
     if command is not None and command not in COMMANDS:
@@ -197,8 +189,10 @@ def load_job(config_path: Path, max_order: int | None = None) -> Job:
     out = cfg.get("out")
     if out is not None and not isinstance(out, str):
         _fail(f"{where}.out", "out must be a directory path string")
-    out_path = Path(out) if out is not None else None
+    return cfg, twist_literal, seed, command, Path(out) if out is not None else None
 
+
+def _build_datum(cfg: dict, where: str, max_order: int | None) -> ZipDatum:
     preset = cfg.get("preset")
     if preset is not None:
         if not isinstance(preset, dict):
@@ -209,19 +203,16 @@ def load_job(config_path: Path, max_order: int | None = None) -> Job:
             n = _get(preset, f"{where}.preset", "n", int)
             try:
                 config = WittZipConfig(p, n)
-                if max_order is not None:
-                    _enforce_max_order(max(config.e_order, config.g_order), max_order)
-                datum, _ = build_witt_zip(config)
+                _enforce_max_order(max(config.e_order, config.g_order), max_order)
+                return build_witt_zip(config)[0]
             except InputError as exc:
                 _fail(f"{where}.preset", str(exc))
-            return Job(name, datum, twist_literal, seed, command, out_path)
         if kind == "zoo":
             entry = _get(preset, f"{where}.preset", "entry", str)
             try:
-                datum = zoo_entry(entry)
+                return zoo_entry(entry)
             except InputError as exc:
                 _fail(f"{where}.preset.entry", str(exc))
-            return Job(name, datum, twist_literal, seed, command, out_path)
         _fail(f"{where}.preset.kind", f"unknown preset kind {kind!r}")
 
     groups = _get(cfg, where, "groups", dict)
@@ -232,10 +223,21 @@ def load_job(config_path: Path, max_order: int | None = None) -> Job:
     tau = _build_hom(_get(cfg, where, "tau", dict), E, G, f"{where}.tau")
     sigma = _build_hom(_get(cfg, where, "sigma", dict), E, G, f"{where}.sigma")
     try:
-        datum = ZipDatum(E, G, tau, sigma)
+        return ZipDatum(E, G, tau, sigma)
     except InputError as exc:
         _fail(where, str(exc))
-    return Job(name, datum, twist_literal, seed, command, out_path)
+
+
+def load_job(config_path: Path, max_order: int | None = None) -> Job:
+    """Parse a config into a job.  With max_order, a preset whose closed-form
+    carrier order exceeds it, or a group spec whose closure would, is refused
+    before anything that large is enumerated."""
+    cfg, twist_literal, seed, _, _ = _read_config(config_path)
+    where = str(config_path)
+    name = cfg.get("name")
+    if name is not None and not isinstance(name, str):
+        _fail(f"{where}.name", "name must be a string")
+    return Job(name or config_path.stem, _build_datum(cfg, where, max_order), twist_literal, seed)
 
 
 def _emit(out_dir: Path | None, files: dict, stdout_lines: list):
@@ -305,8 +307,8 @@ def _outputs(name: str, z: ZipDatum, command: str, seed: int) -> tuple:
     return {"verify.json": doc}, _check_lines(doc), doc["all_passed"]
 
 
-def _enforce_max_order(biggest: int, max_order: int):
-    if biggest > max_order:
+def _enforce_max_order(biggest: int, max_order: int | None):
+    if max_order is not None and biggest > max_order:
         raise ResourceLimitExceeded(
             f"carrier of order {biggest} exceeds --max-order {max_order}"
         )
@@ -333,16 +335,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        job = load_job(args.config, args.max_order) if args.config is not None else None
-        command = args.command or (job.command if job else None)
-        if command is None:
-            raise ConfigError('no command given: pass --command or set "command" in the config')
-        out_dir = args.out if args.out is not None else (job.out if job else None)
+        config = _read_config(args.config) if args.config is not None else (None, None, 0, None, None)
+        _, twist_literal, seed, command, out_dir = config
+        command, out_dir = args.command or command, args.out or out_dir
         if command == "zoo":
-            if args.twist is not None or (job and job.twist_literal is not None):
+            if args.twist is not None or twist_literal is not None:
                 where = "--twist" if args.twist is not None else f"{args.config}.twist"
                 raise ConfigError(f"{where}: the zoo command runs the built-in data untwisted")
-            seed = job.seed if job else 0
             files, lines, passed = {}, [], True
             for entry, datum in build_small_zoo().items():
                 _enforce_max_order(max(datum.E.order, datum.G.order), args.max_order)
@@ -351,6 +350,11 @@ def main(argv=None) -> int:
                 lines += _check_lines(docs["verify.json"], f"{entry}: ")
                 passed = passed and ok
         else:
+            # a config that names no command is loaded too, so that its datum
+            # errors come before the missing command
+            job = load_job(args.config, args.max_order) if args.config is not None else None
+            if command is None:
+                raise ConfigError('no command given: pass --command or set "command" in the config')
             if job is None:
                 raise ConfigError(f"--config is required for the {command} command")
             _enforce_max_order(max(job.datum.E.order, job.datum.G.order), args.max_order)

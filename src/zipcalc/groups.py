@@ -723,7 +723,7 @@ class Homomorphism:
     queries are then plain set scans.
     """
 
-    def __init__(self, source: FiniteGroup, target: FiniteGroup, table: dict, *, check=True):
+    def __init__(self, source: FiniteGroup, target: FiniteGroup, table: dict):
         if set(table) != source.element_set:
             raise InputError("homomorphism table must cover the source carrier exactly")
         for img in table.values():
@@ -732,8 +732,7 @@ class Homomorphism:
         self.source = source
         self.target = target
         self.table = dict(table)
-        if check:
-            self._check_structure()
+        self._check_structure()
 
     def __call__(self, e):
         return self.table[e]
@@ -772,11 +771,11 @@ class Homomorphism:
 def inclusion_hom(sub_group: FiniteGroup, ambient: FiniteGroup) -> Homomorphism:
     if sub_group.space() != ambient.space() or not sub_group.element_set <= ambient.element_set:
         raise InputError("inclusion needs a sub-carrier of the ambient group")
-    return Homomorphism(sub_group, ambient, {a: a for a in sub_group}, check=False)
+    return Homomorphism(sub_group, ambient, {a: a for a in sub_group})
 
 
 def trivial_hom(source: FiniteGroup, target: FiniteGroup) -> Homomorphism:
-    return Homomorphism(source, target, {a: target.identity for a in source}, check=False)
+    return Homomorphism(source, target, {a: target.identity for a in source})
 
 
 def conjugation_hom(group: FiniteGroup, x) -> Homomorphism:
@@ -787,36 +786,32 @@ def conjugation_hom(group: FiniteGroup, x) -> Homomorphism:
 
 
 def hom_from_generator_images(source: FiniteGroup, target: FiniteGroup, generators, images) -> Homomorphism:
-    """The homomorphism sending each generator to its image, certified by its
-    graph: the subgroup of source x target that the (generator, image) pairs
-    generate.  The images are consistent exactly when it holds one pair over
-    each element it reaches (it stops past |source| pairs, which no graph
-    has), and define the homomorphism when it reaches the whole source."""
+    """The homomorphism sending each generator to its image.  The images are
+    extended along the generators from f(1) = 1 by f(a*g) = f(a)*image(g):
+    they are inconsistent when this gives one element two values, and
+    define a map on the source when every element is reached.  That map then
+    carries the table certificate."""
     generators = list(generators)
     images = list(images)
     if len(generators) != len(images):
         raise InputError("generator and image lists differ in length")
-    for g in generators:
-        if g not in source:
-            raise InputError("hom generator outside the source carrier")
-    for im in images:
-        if im not in target:
-            raise InputError("hom image outside the target carrier")
-
-    def pair_mul(p, q):
-        return (source.mul(p[0], q[0]), target.mul(p[1], q[1]))
-
-    identity = (source.identity, target.identity)
-    try:
-        graph = _mulclose(pair_mul, identity, list(zip(generators, images)), limit=source.order)[0]
-    except ResourceLimitExceeded:  # more pairs than the source has elements
-        graph = ()
-    table = dict(graph)
-    if not graph or len(table) != len(graph):
-        raise InputError("generator images are inconsistent with the group relations")
+    if not source.element_set.issuperset(generators):
+        raise InputError("hom generator outside the source carrier")
+    if not target.element_set.issuperset(images):
+        raise InputError("hom image outside the target carrier")
+    table = {source.identity: target.identity}
+    reached = [source.identity]
+    for a in reached:  # grows while it is walked
+        for g, im in zip(generators, images):
+            b, value = source.mul(a, g), target.mul(table[a], im)
+            if b not in table:
+                table[b] = value
+                reached.append(b)
+            elif table[b] != value:
+                raise InputError("generator images are inconsistent with the group relations")
     if len(table) != source.order:
         raise InputError("generators do not generate the source group")
-    return Homomorphism(source, target, table, check=False)
+    return Homomorphism(source, target, table)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import settings
 
 from zipcalc import (
+    Homomorphism,
     MatrixGroup,
     PermutationGroup,
     WittZipConfig,
@@ -14,6 +15,14 @@ from zipcalc import (
 
 settings.register_profile("ci", max_examples=25, deadline=None, derandomize=True)
 settings.load_profile("ci")
+
+
+def forged_hom(source, target, table):
+    """A Homomorphism whose table skipped the homomorphism certificate, for
+    tests that need a map which is not one."""
+    h = object.__new__(Homomorphism)
+    h.source, h.target, h.table = source, target, dict(table)
+    return h
 
 
 # one line per acceptance criterion, printed at the end of the run

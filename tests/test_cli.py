@@ -240,6 +240,15 @@ def test_bad_twist_literal(witt22_config, capsys):
     assert code == EXIT_CONFIG
 
 
+def test_boolean_twist_is_not_an_element_literal(tmp_path, capsys):
+    # JSON true loads as a bool, which is an int, but names no element
+    cfg = write_config(tmp_path, "booltwist.json", {"twist": True, "preset": {"kind": "witt", "p": 2, "n": 2}})
+    code, out, err = run(capsys, "--config", str(cfg), "--command", "classes")
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == f"config error: {cfg}.twist: twist must be an element literal\n"
+
+
 PERM3 = {"backend": "permutation", "degree": 3, "generators": [[1, 0, 2]]}
 PERM4 = {"backend": "permutation", "degree": 4, "generators": [[1, 0, 2, 3], [0, 1, 3, 2]]}
 GL2F2 = {"backend": "matrix", "size": 2, "modulus": 2, "generators": [[1, 1, 0, 1], [0, 1, 1, 0]]}
@@ -660,6 +669,19 @@ def test_zoo_command_all_checks_pass(tmp_path, capsys):
     docs = sorted(out_dir.glob("verify-*.json"))
     assert len(docs) == 7
     assert all(json.loads(d.read_text())["all_passed"] for d in docs)
+
+
+def test_zoo_command_reads_no_datum_from_the_config(tmp_path, capsys):
+    # witt-p3-n3 is past the default --max-order, so building it would exit 4
+    witt33 = write_config(tmp_path, "witt33.json", {"command": "zoo", "preset": {"kind": "witt", "p": 3, "n": 3}})
+    seed_only = write_config(tmp_path, "seed.json", {"seed": 0})
+    code, _, err = run(capsys, "--config", str(witt33), "--out", str(tmp_path / "a"))
+    assert (code, err) == (EXIT_OK, "")
+    code, _, _ = run(capsys, "--config", str(seed_only), "--command", "zoo", "--out", str(tmp_path / "b"))
+    assert code == EXIT_OK
+    docs = {d.name: d.read_bytes() for d in (tmp_path / "a").glob("verify-*.json")}
+    assert len(docs) == 7
+    assert docs == {d.name: d.read_bytes() for d in (tmp_path / "b").glob("verify-*.json")}
 
 
 def test_determinism_byte_identical_reports(witt22_config, tmp_path, capsys):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import forged_hom
 from zipcalc import (
     Homomorphism,
     InputError,
@@ -312,7 +313,7 @@ def test_groupoid_check_matches_naive_oracle(s3, s4, data):
     table = {a: G.conjugate(c, a) for a in G}
     if data.draw(st.booleans()):
         table[data.draw(element)] = data.draw(element)
-    z = ZipDatum(G, G, inclusion_hom(G, G), Homomorphism(G, G, table, check=False))
+    z = ZipDatum(G, G, inclusion_hom(G, G), forged_hom(G, G, table))
     x, e, et = data.draw(element), data.draw(element), data.draw(element)
     y = G.mul(G.mul(z.tau(e), x), z.sigma(et))
     expected = oracles.naive_groupoid_equivalence_check(z, x, y, e, et)

@@ -16,6 +16,7 @@ from zipcalc import (
     Subgroup,
     closure,
     conjugate,
+    conjugation_hom,
     double_cosets,
     hom_from_generator_images,
     inclusion_hom,
@@ -298,6 +299,29 @@ def test_hom_rejects_non_multiplicative_table(s3):
     table[(1, 0, 2)] = (1, 2, 0)
     with pytest.raises(InputError):
         Homomorphism(s3, s3, table)
+
+
+def test_hom_takes_no_switch_past_its_certificate(s3):
+    table = {a: a for a in s3}
+    table[(1, 0, 2)] = (1, 2, 0)
+    with pytest.raises(TypeError):
+        Homomorphism(s3, s3, table, check=False)
+
+
+def test_constructed_homs_pass_the_naive_oracle(zoo):
+    """On each zoo datum's E inside G: the inclusion, the trivial map, a
+    conjugation of G and the conjugated inclusion given by generator images."""
+    for name, z in zoo.items():
+        E, G = z.E, z.G
+        x = G.elements[-1]
+        images = [G.conjugate(x, g) for g in E.generators]
+        for source, h in [
+            (E, inclusion_hom(E, G)),
+            (E, trivial_hom(E, G)),
+            (G, conjugation_hom(G, x)),
+            (E, hom_from_generator_images(E, G, E.generators, images)),
+        ]:
+            assert oracles.naive_is_homomorphism(source, G, h.table), name
 
 
 def test_hom_from_generator_images(s3):

@@ -14,9 +14,9 @@ import random
 import pytest
 
 import oracles
+from conftest import forged_hom
 from zipcalc import (
     ClassReport,
-    Homomorphism,
     InputError,
     Subgroup,
     ZipClass,
@@ -99,7 +99,7 @@ def corrupted_datum(rng, s4, subgroups):
     tables = [{a: a for a in E}, {a: s4.conjugate(c, a) for a in E}]
     for table in tables:
         table[rng.choice(E.elements)] = rng.choice(s4.elements)
-    tau, sigma = (Homomorphism(E, s4, table, check=False) for table in tables)
+    tau, sigma = (forged_hom(E, s4, table) for table in tables)
     return ZipDatum(E, s4, tau, sigma)
 
 
