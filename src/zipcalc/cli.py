@@ -52,14 +52,12 @@ def _fail(where: str, message: str):
     raise ConfigError(f"{where}: {message}")
 
 
-def _get(cfg: dict, where: str, key: str, kind=None, required=True, default=None):
+def _get(cfg: dict, where: str, key: str, kind):
     if key not in cfg:
-        if required:
-            _fail(where, f"missing required key {key!r}")
-        return default
+        _fail(where, f"missing required key {key!r}")
     value = cfg[key]
     # JSON true and false load as bool, a subclass of int
-    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
+    if not isinstance(value, kind) or isinstance(value, bool):
         _fail(f"{where}.{key}", f"expected {kind.__name__}, got {type(value).__name__}")
     return value
 
@@ -100,17 +98,25 @@ def _build_group(spec, where: str, max_order: int | None = None) -> FiniteGroup:
     _fail(f"{where}.backend", f"unknown backend {backend!r}")
 
 
+def _is_int(value) -> bool:
+    # JSON true and false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_element(group: FiniteGroup, literal, where: str):
+    """An element from a string, an integer (a Cayley index) or a list of
+    integers (matrix entries); any other JSON value is refused, not parsed
+    from a Python spelling ('True', 'None') that the config never wrote."""
+    if isinstance(literal, list) and all(map(_is_int, literal)):
+        literal = "[" + ",".join(map(str, literal)) + "]"
+    elif _is_int(literal):
+        literal = str(literal)
+    elif not isinstance(literal, str):
+        _fail(where, "an element literal is a string, an integer or a list of integers")
     try:
-        if isinstance(literal, str):
-            return group.parse_element(literal)
-        if isinstance(literal, list):
-            return group.parse_element("[" + ",".join(str(v) for v in literal) + "]")
-        if isinstance(literal, int):
-            return group.parse_element(str(literal))
+        return group.parse_element(literal)
     except InputError as exc:
         _fail(where, str(exc))
-    _fail(where, f"cannot interpret element literal {literal!r}")
 
 
 def _build_hom(spec, E: FiniteGroup, G: FiniteGroup, where: str) -> Homomorphism:
@@ -178,10 +184,10 @@ def _read_config(config_path: Path) -> tuple:
     if not isinstance(cfg, dict):
         _fail(where, "config must be a JSON object")
     seed = cfg.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
+    if not _is_int(seed):
         _fail(f"{where}.seed", "seed must be an integer")
     twist_literal = cfg.get("twist")
-    if twist_literal is not None and (not isinstance(twist_literal, (str, list, int)) or isinstance(twist_literal, bool)):
+    if twist_literal is not None and not (isinstance(twist_literal, (str, list)) or _is_int(twist_literal)):
         _fail(f"{where}.twist", "twist must be an element literal")
     command = cfg.get("command")
     if command is not None and command not in COMMANDS:

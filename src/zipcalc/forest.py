@@ -1,12 +1,14 @@
 """Rooted forests of double-coset representatives.
 
-Generation 0 holds representatives of tau(E)\\G/sigma(E); a node at
-generation n with accumulated product x~ (its element times all ancestors')
-has as children the representatives of the double quotient of the datum
-twisted by x~ and refined n+1 times.  A node is stable once tau is surjective
-in that datum: from there on the double quotients are single cosets and the
-subtree is an identity chain.  Generations are materialized until every node
-is stable; classification walks the materialized part.
+A top node at generation -1 holds the datum itself, with accumulated product
+1.  Every unstable node has as children the representatives of its datum's
+double quotient; a child's accumulated product x~ is its element times its
+parent's, and its datum is the original twisted by x~ and refined once more
+than its parent's.  Generation 0 thus holds representatives of
+tau(E)\\G/sigma(E).  A node is stable once tau is surjective in its datum:
+from there on the double quotients are single cosets and the subtree is an
+identity chain.  Generations are materialized until every node is stable;
+classification walks the materialized part.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ class ForestNode:
     """One representative in the forest; immutable apart from child wiring."""
 
     __slots__ = ("element", "parent", "generation", "accumulated", "stable", "datum",
-                 "decomposition", "children", "_child_by_element")
+                 "decomposition", "children")
 
     def __init__(self, element, parent, generation, accumulated, datum, stable):
         self.element = element
@@ -29,11 +31,8 @@ class ForestNode:
         self.datum = datum
         self.stable = stable
         self.decomposition: Partition | None = None
-        self.children: tuple = ()
-        self._child_by_element: dict = {}
-
-    def child(self, element) -> "ForestNode":
-        return self._child_by_element[element]
+        # element -> child, in key order
+        self.children: dict = {}
 
     def path_elements(self) -> tuple:
         node, out = self, []
@@ -62,15 +61,16 @@ class ClassificationPath(Record):
 
 
 class RepForest:
-    """The materialized forest together with its root decomposition, and the
-    stable nodes whose carrier's key-minimal element is not the identity."""
+    """The materialized forest below its top node, and the stable nodes whose
+    carrier's key-minimal element is not the identity.  The datum and the
+    root decomposition tau(E)\\G/sigma(E) are the top node's."""
 
-    def __init__(self, datum, generations, root_decomposition, identity_rep_flags):
-        self.datum = datum
+    def __init__(self, top, generations, identity_rep_flags):
+        self.top = top
+        self.datum = top.datum
+        self.root_decomposition = top.decomposition
         self.generations = generations
-        self.root_decomposition = root_decomposition
         self.identity_rep_flags = identity_rep_flags
-        self._root_by_element = {n.element: n for n in generations[0]}
 
     @property
     def stationary_generation(self) -> int:
@@ -83,9 +83,6 @@ class RepForest:
     @property
     def leaves(self) -> tuple:
         return self.generations[-1]
-
-    def root(self, element) -> ForestNode:
-        return self._root_by_element[element]
 
 
 def _node_datum(z: ZipDatum, accumulated, depth: int, cache: dict) -> ZipDatum:
@@ -103,41 +100,36 @@ def _node_datum(z: ZipDatum, accumulated, depth: int, cache: dict) -> ZipDatum:
 
 
 def build_forest(z: ZipDatum) -> RepForest:
-    """Build generations until every branch is stable.
+    """Build generations below the top node until every branch is stable.
 
-    Termination: an unstable node's child datum has a strictly smaller
-    carrier, so every path reaches tau-surjectivity within |G| levels.
+    The top node is never stable, so generation 0 always holds the root
+    representatives, even when tau is surjective.  Termination: an unstable
+    node's child datum has a strictly smaller carrier, so every path reaches
+    tau-surjectivity within |G| levels.
     """
     G = z.G
     cache: dict = {}
-    root_dec = double_cosets(G, z.tau_image, z.sigma_image)
-    roots = []
-    for rep in root_dec.representatives():
-        d = _node_datum(z, rep, 1, cache)
-        roots.append(ForestNode(rep, None, 0, rep, d, is_tau_surjective(d)))
-    generations = [tuple(roots)]
-    while not all(node.stable for node in generations[-1]):
+    top = ForestNode(G.identity, None, -1, G.identity, z, False)
+    generations, layer = [], (top,)
+    while not all(node.stable for node in layer):
         nxt = []
-        for node in generations[-1]:
-            children = []
+        for node in layer:
             if node.stable:
-                d = _node_datum(z, node.accumulated, node.generation + 2, cache)
-                children.append(
-                    ForestNode(G.identity, node, node.generation + 1, node.accumulated, d, True)
-                )
+                steps = [(G.identity, node.accumulated)]
             else:
-                dec = double_cosets(node.datum.G, node.datum.tau_image, node.datum.sigma_image)
-                node.decomposition = dec
-                for rep in dec.representatives():
-                    acc = G.mul(rep, node.accumulated)
-                    d = _node_datum(z, acc, node.generation + 2, cache)
-                    children.append(
-                        ForestNode(rep, node, node.generation + 1, acc, d, is_tau_surjective(d))
-                    )
-            node.children = tuple(children)
-            node._child_by_element = {c.element: c for c in children}
-            nxt.extend(children)
-        generations.append(tuple(nxt))
+                d = node.datum
+                node.decomposition = double_cosets(d.G, d.tau_image, d.sigma_image)
+                # the top's accumulated product is 1: no multiplication
+                steps = [(rep, rep if node is top else G.mul(rep, node.accumulated))
+                         for rep in node.decomposition.representatives()]
+            for rep, acc in steps:
+                d = _node_datum(z, acc, node.generation + 2, cache)
+                child = ForestNode(rep, None if node is top else node, node.generation + 1, acc, d,
+                                   node.stable or is_tau_surjective(d))
+                node.children[rep] = child
+                nxt.append(child)
+        layer = tuple(nxt)
+        generations.append(layer)
         if len(generations) > G.order + 2:
             raise InvariantViolation("forest construction failed to stabilize")
     flags = []
@@ -145,7 +137,7 @@ def build_forest(z: ZipDatum) -> RepForest:
         for node in gen:
             if node.stable and min(node.datum.G.elements) != G.identity:
                 flags.append(node)
-    return RepForest(z, tuple(generations), root_dec, tuple(flags))
+    return RepForest(top, tuple(generations), tuple(flags))
 
 
 def _transport(datum: ZipDatum, x, rep):
@@ -164,27 +156,23 @@ def _transport(datum: ZipDatum, x, rep):
 
 
 def classify(forest: RepForest, x) -> ClassificationPath:
-    """The representative path of x: r_0 indexes the double coset of x, and
-    each later entry indexes the coset of the transported element in the
-    child quotient, stopping at the stable generation."""
-    z = forest.datum
-    G = z.G
+    """The representative path of x, walked down from the top node: at an
+    unstable node the entry indexes the coset of the current element in the
+    node's double quotient, which then moves on to its transport; at a
+    stable node the entry is the identity.  r_0 thus indexes the double
+    coset of x, and the walk stops at the stable generation."""
+    G = forest.datum.G
     if x not in G:
         raise InputError("element outside the carrier of G")
-    r = forest.root_decomposition.rep_of[x]
-    entries = [r]
-    node = forest.root(r)
-    current = _transport(z, x, r)
-    for _ in range(forest.stationary_generation):
+    entries, node, current = [], forest.top, x
+    while node.children:
         if node.stable:
-            entries.append(G.identity)
-            node = node.children[0]
-            continue
-        d = node.datum
-        r = node.decomposition.rep_of[current]
+            r = G.identity
+        else:
+            r = node.decomposition.rep_of[current]
+            current = _transport(node.datum, current, r)
         entries.append(r)
-        current = _transport(d, current, r)
-        node = node.child(r)
+        node = node.children[r]
     return ClassificationPath(tuple(entries), G)
 
 
@@ -239,7 +227,7 @@ def forest_to_dot(forest: RepForest) -> str:
             lines.append(f"  {node_id(node)} [label={quote(label)}];")
     for gen in forest.generations:
         for node in gen:
-            for child in node.children:
+            for child in node.children.values():
                 lines.append(f"  {node_id(node)} -> {node_id(child)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

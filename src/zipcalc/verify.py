@@ -13,7 +13,7 @@ from .equivalence import (
     zip_classes,
 )
 from .forest import build_forest, limit_bijection_check
-from .groups import Record, double_cosets
+from .groups import Record
 from .zipdata import (
     ZipDatum,
     e_infinity_characterization_check,
@@ -88,8 +88,8 @@ def run_verification(z: ZipDatum, *, seed: int = 0) -> list:
         )
     )
 
-    decomposition = double_cosets(z.G, z.tau_image, z.sigma_image)
-    roots = decomposition.representatives()
+    forest = build_forest(z)
+    roots = forest.root_decomposition.representatives()
     results.append(
         CheckResult(
             "refinement-bijection",
@@ -113,7 +113,6 @@ def run_verification(z: ZipDatum, *, seed: int = 0) -> list:
         ok = ok and groupoid_equivalence_check(z, r, y, e, et)
     results.append(CheckResult("groupoid-equivalence", ok, f"roots={len(roots)}"))
 
-    forest = build_forest(z)
     results.append(
         CheckResult(
             "forest-limit",

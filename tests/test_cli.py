@@ -252,6 +252,74 @@ def test_boolean_twist_is_not_an_element_literal(tmp_path, capsys):
 PERM3 = {"backend": "permutation", "degree": 3, "generators": [[1, 0, 2]]}
 PERM4 = {"backend": "permutation", "degree": 4, "generators": [[1, 0, 2, 3], [0, 1, 3, 2]]}
 GL2F2 = {"backend": "matrix", "size": 2, "modulus": 2, "generators": [[1, 1, 0, 1], [0, 1, 1, 0]]}
+XOR4 = {"backend": "cayley", "table": [[i ^ j for j in range(4)] for i in range(4)]}
+
+
+@pytest.mark.parametrize(
+    "payload, path",
+    [
+        pytest.param(
+            {"groups": {"E": PERM3, "G": PERM3}, "tau": {"type": "inclusion"},
+             "sigma": {"type": "table", "entries": [["()", "()"], [True, "(0 1)"]]}},
+            "sigma.entries[1][0]",
+            id="table-entry",
+        ),
+        pytest.param(
+            {"groups": {"E": XOR4, "G": XOR4}, "tau": {"type": "identity"},
+             "sigma": {"type": "generator-images", "generators": [True, 2], "images": [1, 2]}},
+            "sigma.generators[0]",
+            id="cayley-generator",
+        ),
+        pytest.param(
+            {"groups": {"E": GL2F2, "G": GL2F2}, "tau": {"type": "identity"}, "sigma": {"type": "identity"},
+             "twist": [True, 1, 0, 1]},
+            "twist",
+            id="boolean-in-a-list-literal",
+        ),
+        pytest.param(
+            {"groups": {"E": GL2F2, "G": GL2F2}, "tau": {"type": "identity"},
+             "sigma": {"type": "table", "entries": [[[1, 0, 0, 1], [None, 0, 0, 1]]]}},
+            "sigma.entries[0][1]",
+            id="null-in-a-list-literal",
+        ),
+        pytest.param(
+            {"groups": {"E": GL2F2, "G": GL2F2}, "tau": {"type": "identity"}, "sigma": {"type": "identity"},
+             "twist": [[1, 0], [0, 1]]},
+            "twist",
+            id="nested-list-literal",
+        ),
+    ],
+)
+def test_element_literal_of_other_json_values_is_refused_at_its_path(tmp_path, capsys, payload, path):
+    # the message must not quote a Python spelling such as 'True' or 'None',
+    # which the config never wrote
+    cfg = write_config(tmp_path, "badliteral.json", payload)
+    code, out, err = run(capsys, "--config", str(cfg), "--command", "classes")
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == f"config error: {cfg}.{path}: an element literal is a string, an integer or a list of integers\n"
+
+
+def test_integer_element_literals_read_as_their_strings(tmp_path, capsys):
+    def spelled(lit):
+        return {
+            "name": "xor4",
+            "groups": {"E": XOR4, "G": XOR4},
+            "tau": {"type": "table", "entries": [[lit(e), lit(e & 1)] for e in range(4)]},
+            "sigma": {"type": "generator-images", "generators": [lit(1), lit(2)], "images": [lit(2), lit(0)]},
+            "twist": lit(3),
+        }
+
+    written = []
+    for lit in (int, str):
+        cfg = write_config(tmp_path, f"xor4-{lit.__name__}.json", spelled(lit))
+        out_dir = tmp_path / lit.__name__
+        for command in COMMANDS[:-1]:
+            code, _, err = run(capsys, "--config", str(cfg), "--command", command, "--out", str(out_dir))
+            assert (code, err) == (EXIT_OK, ""), command
+        written.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
+    assert len(written[0]) == 7
+    assert written[0] == written[1]
 
 
 def _table_sigma(literal):

@@ -60,7 +60,7 @@ def test_forest_stability_is_hereditary(witt23, zoo):
         for gen in forest.generations:
             for node in gen:
                 if node.stable:
-                    assert all(c.stable and c.element == forest.datum.G.identity for c in node.children)
+                    assert all(c.stable and c.element == forest.datum.G.identity for c in node.children.values())
 
 
 def test_classify_identity_path(zoo):
@@ -168,3 +168,22 @@ def test_identity_rep_flags_record_nonminimal_carriers(witt22, zoo):
     assert isinstance(build_forest(z).identity_rep_flags, tuple)
     forest = build_forest(zoo["s3-mixed"])
     assert forest.identity_rep_flags == ()
+
+
+def test_identity_flags_on_a_stable_matrix_root(gl2f2):
+    # E = <[0,1,1,0]> in GL2(F2): the root [0,1,1,0] is stable at once, and
+    # it and its identity child carry data whose carrier minimum is not 1
+    from zipcalc import ZipDatum, closure, inclusion_hom
+
+    E = closure(gl2f2, [(0, 1, 1, 0)]).as_group()
+    incl = inclusion_hom(E, gl2f2)
+    z = ZipDatum(E, gl2f2, incl, incl)
+    forest = build_forest(z)
+    fmt = gl2f2.format_element
+    assert (len(forest.generations), len(forest.roots), len(forest.leaves)) == (2, 2, 3)
+    assert [node.path_id(fmt) for node in forest.identity_rep_flags] == ["[0,1,1,0]", "[0,1,1,0]/[1,0,0,1]"]
+    stable_root = forest.roots[0]
+    assert stable_root.stable and not forest.roots[1].stable
+    assert list(stable_root.children) == [gl2f2.identity]
+    assert stable_root.children[gl2f2.identity].stable
+    assert limit_bijection_check(forest, zip_classes(z))
