@@ -37,7 +37,6 @@ _EXPORTS = {
         "is_tau_surjective",
         "refine",
         "refine_to_stationary",
-        "same_zip_datum",
         "twist",
         "twist_refine_identity_check",
     ),

@@ -43,9 +43,9 @@ class ConfigError(InputError):
 
 
 class Job(Record):
-    """A loaded config: its name, datum, twist literal and seed."""
+    """A loaded config: its name, datum and seed."""
 
-    __slots__ = _fields = ("name", "datum", "twist_literal", "seed")
+    __slots__ = _fields = ("name", "datum", "seed")
 
 
 def _fail(where: str, message: str):
@@ -238,12 +238,12 @@ def load_job(config_path: Path, max_order: int | None = None) -> Job:
     """Parse a config into a job.  With max_order, a preset whose closed-form
     carrier order exceeds it, or a group spec whose closure would, is refused
     before anything that large is enumerated."""
-    cfg, twist_literal, seed, _, _ = _read_config(config_path)
+    cfg, _, seed, _, _ = _read_config(config_path)
     where = str(config_path)
     name = cfg.get("name")
     if name is not None and not isinstance(name, str):
         _fail(f"{where}.name", "name must be a string")
-    return Job(name or config_path.stem, _build_datum(cfg, where, max_order), twist_literal, seed)
+    return Job(name or config_path.stem, _build_datum(cfg, where, max_order), seed)
 
 
 def _emit(out_dir: Path | None, files: dict, stdout_lines: list):
@@ -344,9 +344,12 @@ def main(argv=None) -> int:
         config = _read_config(args.config) if args.config is not None else (None, None, 0, None, None)
         _, twist_literal, seed, command, out_dir = config
         command, out_dir = args.command or command, args.out or out_dir
+        if args.twist is not None:
+            literal, where = args.twist, "--twist"
+        else:
+            literal, where = twist_literal, f"{args.config}.twist"
         if command == "zoo":
-            if args.twist is not None or twist_literal is not None:
-                where = "--twist" if args.twist is not None else f"{args.config}.twist"
+            if literal is not None:
                 raise ConfigError(f"{where}: the zoo command runs the built-in data untwisted")
             files, lines, passed = {}, [], True
             for entry, datum in build_small_zoo().items():
@@ -365,9 +368,8 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--config is required for the {command} command")
             _enforce_max_order(max(job.datum.E.order, job.datum.G.order), args.max_order)
             z = job.datum
-            literal = args.twist if args.twist is not None else job.twist_literal
             if literal is not None:
-                z = twist(z, _parse_element(z.G, literal, f"{args.config}.twist"))
+                z = twist(z, _parse_element(z.G, literal, where))
             files, lines, passed = _outputs(job.name, z, command, job.seed)
         _emit(out_dir, files, lines)
         return EXIT_OK if passed else EXIT_CHECK

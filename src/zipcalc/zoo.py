@@ -124,9 +124,34 @@ def build_witt_zip(config: WittZipConfig) -> tuple:
     return ZipDatum(E, G, tau, sigma), (0, 1, 1, 0)
 
 
-def _xor_table(bits: int) -> list:
-    size = 1 << bits
-    return [[i ^ j for j in range(size)] for i in range(size)]
+def _subgroup_datum(G, generators, tau=inclusion_hom, sigma=inclusion_hom) -> ZipDatum:
+    """E = <generators> <= G, with tau and sigma : E -> G made by the given
+    homomorphism builders."""
+    E = closure(G, generators).as_group()
+    return ZipDatum(E, G, tau(E, G), sigma(E, G))
+
+
+def _tau_surjective() -> ZipDatum:
+    s3 = PermutationGroup.symmetric(3)
+    return ZipDatum(s3, s3, inclusion_hom(s3, s3), conjugation_hom(s3, (1, 0, 2)))
+
+
+def _c2cube_projection() -> ZipDatum:
+    c2cube = CayleyTableGroup([[i ^ j for j in range(8)] for i in range(8)])
+    project = Homomorphism(c2cube, c2cube, {v: v & 0b011 for v in c2cube})
+    return ZipDatum(c2cube, c2cube, inclusion_hom(c2cube, c2cube), project)
+
+
+# name -> builder of that datum alone, in the zoo's order
+_ZOO = {
+    "trivial-e": lambda: _subgroup_datum(PermutationGroup.symmetric(3), [], trivial_hom, trivial_hom),
+    "tau-surjective": _tau_surjective,
+    "s3-reflection-pair": lambda: _subgroup_datum(PermutationGroup.symmetric(3), [(1, 0, 2)]),
+    "s3-mixed": lambda: _subgroup_datum(PermutationGroup.symmetric(3), [(1, 0, 2)], sigma=trivial_hom),
+    "s4-cycle-pair": lambda: _subgroup_datum(PermutationGroup.symmetric(4), [(1, 2, 3, 0)]),
+    "c2cube-projection": _c2cube_projection,
+    "gl2f2-borel": lambda: _subgroup_datum(MatrixGroup.general_linear(2, 2), [(1, 1, 0, 1)]),
+}
 
 
 def build_small_zoo() -> dict:
@@ -134,37 +159,13 @@ def build_small_zoo() -> dict:
 
     Deterministic: same names, same data, same element order on every run.
     """
-    zoo: dict[str, ZipDatum] = {}
-
-    s3 = PermutationGroup.symmetric(3)
-    e_trivial = closure(s3, []).as_group()
-    zoo["trivial-e"] = ZipDatum(e_trivial, s3, trivial_hom(e_trivial, s3), trivial_hom(e_trivial, s3))
-
-    zoo["tau-surjective"] = ZipDatum(s3, s3, inclusion_hom(s3, s3), conjugation_hom(s3, (1, 0, 2)))
-
-    c2 = closure(s3, [(1, 0, 2)]).as_group()
-    zoo["s3-reflection-pair"] = ZipDatum(c2, s3, inclusion_hom(c2, s3), inclusion_hom(c2, s3))
-
-    zoo["s3-mixed"] = ZipDatum(c2, s3, inclusion_hom(c2, s3), trivial_hom(c2, s3))
-
-    s4 = PermutationGroup.symmetric(4)
-    c4 = closure(s4, [(1, 2, 3, 0)]).as_group()
-    zoo["s4-cycle-pair"] = ZipDatum(c4, s4, inclusion_hom(c4, s4), inclusion_hom(c4, s4))
-
-    c2cube = CayleyTableGroup(_xor_table(3))
-    project = Homomorphism(c2cube, c2cube, {v: v & 0b011 for v in c2cube})
-    zoo["c2cube-projection"] = ZipDatum(c2cube, c2cube, inclusion_hom(c2cube, c2cube), project)
-
-    gl2 = MatrixGroup.general_linear(2, 2)
-    borel = closure(gl2, [(1, 1, 0, 1)]).as_group()
-    zoo["gl2f2-borel"] = ZipDatum(borel, gl2, inclusion_hom(borel, gl2), inclusion_hom(borel, gl2))
-
-    return zoo
+    return {name: build() for name, build in _ZOO.items()}
 
 
 def zoo_entry(name: str) -> ZipDatum:
-    zoo = build_small_zoo()
+    """The named zoo datum, built without the rest of the zoo."""
     try:
-        return zoo[name]
+        build = _ZOO[name]
     except KeyError:
-        raise InputError(f"unknown zoo entry {name!r}; known: {', '.join(sorted(zoo))}") from None
+        raise InputError(f"unknown zoo entry {name!r}; known: {', '.join(sorted(_ZOO))}") from None
+    return build()

@@ -25,6 +25,26 @@ def forged_hom(source, target, table):
     return h
 
 
+def same_carriers_and_tables(a, b):
+    """Two zip data with equal carriers of E and G and equal tau and sigma tables."""
+    return (
+        a.E.element_set == b.E.element_set
+        and a.G.element_set == b.G.element_set
+        and a.tau.table == b.tau.table
+        and a.sigma.table == b.sigma.table
+    )
+
+
+@pytest.fixture
+def twist_by_inverse(monkeypatch):
+    """A mutant: where the checks call it, twist(z, x) twists by x^-1."""
+    from zipcalc import equivalence, zipdata
+
+    twist = zipdata.twist
+    for module in (equivalence, zipdata):
+        monkeypatch.setattr(module, "twist", lambda z, x: twist(z, z.G.inv(x)))
+
+
 # one line per acceptance criterion, printed at the end of the run
 ACCEPTANCE_LINES: list[str] = []
 

@@ -236,8 +236,11 @@ def test_max_order_limit(witt22_config, capsys):
 
 
 def test_bad_twist_literal(witt22_config, capsys):
-    code, _, err = run(capsys, "--config", str(witt22_config), "--command", "classes", "--twist", "[9,9,9]")
+    # the literal came from the flag, not from the config's twist (null)
+    code, out, err = run(capsys, "--config", str(witt22_config), "--command", "classes", "--twist", "[9,9,9]")
     assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == "config error: --twist: matrix literal '[9,9,9]' needs 4 entries\n"
 
 
 def test_boolean_twist_is_not_an_element_literal(tmp_path, capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from zipcalc import (
     MatrixGroup,
     WittZipConfig,
     ZipDatum,
+    build_forest,
     build_witt_zip,
     coarsening_check,
     double_cosets,
@@ -318,6 +321,20 @@ def test_groupoid_check_matches_naive_oracle(s3, s4, data):
     y = G.mul(G.mul(z.tau(e), x), z.sigma(et))
     expected = oracles.naive_groupoid_equivalence_check(z, x, y, e, et)
     assert groupoid_equivalence_check(z, x, y, e, et) == expected
+
+
+def test_groupoid_check_matches_naive_oracle_on_zip_data(zoo, witt22, witt23):
+    # at every forest root, with seeded witness draws
+    data = [*zoo.items(), ("witt-p2-n2", witt22[0]), ("witt-p2-n3", witt23[0])]
+    rng = random.Random(0)
+    for name, z in data:
+        G, E = z.G, z.E
+        for x in build_forest(z).root_decomposition.representatives():
+            for _ in range(3):
+                e, et = rng.choice(E.elements), rng.choice(E.elements)
+                y = G.mul(G.mul(z.tau(e), x), z.sigma(et))
+                expected = oracles.naive_groupoid_equivalence_check(z, x, y, e, et)
+                assert groupoid_equivalence_check(z, x, y, e, et) == expected, (name, x, e, et)
 
 
 # -- partition sanity across the corpus -------------------------------------------

@@ -1,10 +1,10 @@
 """Each cross-check behind verify returns False on a bad input.
 
 A check that no input can make fail passes every test as `return True`.  The
-bad inputs here are a forged coarse report, the trace of another twist, and
-zip data whose tables were corrupted past their homomorphism certificate.
-The groupoid check's corrupted data are in test_equivalence, where its
-verdicts are compared with a naive oracle.
+bad inputs here are a forged coarse report, the trace of another twist, zip
+data whose tables were corrupted past their homomorphism certificate, and a
+mutant twist.  The groupoid check's corrupted data are in test_equivalence,
+where its verdicts are compared with a naive oracle.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from zipcalc import (
     double_cosets,
     e_infinity_characterization_check,
     fine_orbits,
+    groupoid_equivalence_check,
     limit_bijection_check,
     refine_to_stationary,
     refinement_bijection_check,
@@ -135,3 +136,29 @@ def test_twist_refine_identity_check_matches_the_tables_on_corrupted_data(s4):
         verdicts["witnesses"].append(ok)
     for mode, seen in verdicts.items():
         assert False in seen and True in seen, mode
+
+
+def witnessed_y(z, x, e, et):
+    """y = tau(e) * x * sigma(et)."""
+    return z.G.mul(z.G.mul(z.tau(e), x), z.sigma(et))
+
+
+# witt-p2-n2 draws on which each check rejects the twist_by_inverse mutant:
+# the antidiagonal x, and the witness pairs of the two witnessed checks
+X = (0, 1, 1, 0)
+E_ID, ET = (1, 0, 0, 1), (3, 3, 2, 3)
+E_G, ET_G = (3, 2, 0, 1), (3, 2, 2, 1)
+MUTANT_DRAWS = {
+    "torsor": lambda z: torsor_check(z, (0, 1, 1, 1), report=zip_classes(z)),
+    "twist-refine": lambda z: twist_refine_identity_check(z, X, (1, 1, 0, 1)),
+    "twisted-subgroup": lambda z: twist_refine_identity_check(z, X, witnessed_y(z, X, E_ID, ET), witnesses=(E_ID, ET)),
+    "groupoid": lambda z: groupoid_equivalence_check(z, X, witnessed_y(z, X, E_G, ET_G), E_G, ET_G),
+}
+
+
+@pytest.mark.parametrize("check", sorted(MUTANT_DRAWS))
+def test_check_rejects_a_twist_by_the_inverse(witt22, check, request):
+    z, _ = witt22
+    assert MUTANT_DRAWS[check](z)
+    request.getfixturevalue("twist_by_inverse")
+    assert not MUTANT_DRAWS[check](z)

@@ -85,7 +85,7 @@ EXPORTS = (
     "PermutationGroup Subgroup closure conjugate conjugation_hom "
     "double_coset_of double_cosets hom_from_generator_images inclusion_hom trivial_hom "
     "RefinementTrace ZipDatum e_infinity_characterization_check is_tau_surjective refine "
-    "refine_to_stationary same_zip_datum twist twist_refine_identity_check "
+    "refine_to_stationary twist twist_refine_identity_check "
     "ClassReport ZipClass coarsening_check fine_orbits groupoid_equivalence_check "
     "member_stationary_subgroups member_witness refinement_bijection_check torsor_check zip_classes "
     "ClassificationPath RepForest build_forest classify forest_to_dot limit_bijection_check "
@@ -135,7 +135,7 @@ def twin(cls):
 
 
 SAMPLES = [
-    (Job, ("witt", None, "[0,1,1,0]", 3), ("witt", None, "[0,1,1,0]", 4)),
+    (Job, ("witt", None, 3), ("witt", None, 4)),
     (ZipClass, (1, frozenset({1, 2}), None, None), (1, frozenset({1}), None, None)),
     (ClassificationPath, ((1, 2), "G"), ((1, 3), "G")),
     (DoubleCoset, (0, frozenset({0, 1})), (1, frozenset({0, 1}))),

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 import oracles
+from conftest import same_carriers_and_tables
 from zipcalc import (
     InputError,
     InvariantViolation,
@@ -111,6 +112,12 @@ def test_zoo_names_and_determinism():
     for name in a:
         assert a[name].E.elements == b[name].E.elements
         assert a[name].tau.table == b[name].tau.table
+
+
+def test_zoo_entry_equals_the_zoo_datum():
+    zoo = build_small_zoo()
+    for name, datum in zoo.items():
+        assert same_carriers_and_tables(zoo_entry(name), datum), name
 
 
 def test_zoo_entry_lookup():
