@@ -14,13 +14,19 @@ E -> P is onto with kernel K = ker tau ∩ ker sigma.  So a class is the orbit
 under P, walked over its generators by groups._orbit, of {x} (fine) or of
 G_inf^x * x (coarse), as a double coset is of {x}, and groups._partition
 splits G into classes.  The torsor check runs on P x G_inf^x under the
-stationary pair group, with fibers of size |P_inf^x| instead of |E_inf^x|,
-and the groupoid check maps pairs to pairs, both sides sharing the root's K.
+stationary pair group, with fibers of size |P_inf^x| instead of |E_inf^x|.
+It certifies that each stationary pair acts inside G_inf^x and keeps the
+class map's value, so each orbit, free and of size |P_inf^x|, lies in one
+fiber; then counting the values suffices, as a fiber of that size is one
+orbit.  The groupoid check maps pairs to pairs, both sides sharing the
+root's K.
 Elements of E appear only in member_witness and where a check is stated on
 them.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from .groups import InputError, InvariantViolation, Record, Subgroup, conjugate, double_coset_of
 from .groups import Partition, _orbit, _partition
@@ -165,6 +171,24 @@ def torsor_check(z: ZipDatum, x, *, report: ClassReport) -> bool:
     (u, w).((a, b), g) = ((a*u^-1, b*v^-1), u*g*w^-1), where (u, v) and
     (u, w) are one element's pairs in z and its x-twist.
 
+    The check has two parts, and walks no orbit.
+    (1) Each stationary pair (u, w, eps) of the x-twist has w in G_inf^x and
+        w = x*v*x^-1, where v = sigma(eps) is read from z's pair table.
+    (2) The values of the map, counted with multiplicity, are the members of
+        the class of x, each taken |P_inf^x| times.
+    Proof that they suffice.  By (1) the map is invariant under the action:
+    a*u^-1 * u*g*w^-1 * x * v*b^-1 = a*g*x*b^-1, since w^-1*x*v = x.  The
+    action is free: its first coordinate is right multiplication by
+    (u, v)^-1 in G x G, and by (1) (u, v) determines w.  So the orbit of a
+    point has |P_inf^x| elements and lies in the point's fiber, and a fiber
+    of that size, as (2) requires, is exactly that orbit.  The action is well
+    defined, and P_inf^x a group acting on P x G_inf^x, because tau and sigma
+    are homomorphisms, as their certificate guarantees: P and P_inf^x are then
+    groups, so (a*u^-1, b*v^-1) lies in P, and G_inf^x = tau(E_inf^x) is a
+    group holding u, g and, by (1), w, so u*g*w^-1 lies in G_inf^x.
+    Conversely a fiber that is one orbit gives (1): value invariance on any
+    point forces w = x*v*x^-1, and u*g*w^-1 in G_inf^x forces w in G_inf^x.
+
     This is the class map on E x G_inf^x, where eps acts by
     (e*eps^-1, tau(eps)*g*(x-twisted sigma)(eps)^-1), divided by
     K = ker tau ∩ ker sigma: E -> P is onto with kernel K and K lies in
@@ -177,37 +201,18 @@ def torsor_check(z: ZipDatum, x, *, report: ClassReport) -> bool:
     if report.datum is not z:
         raise InputError("report belongs to a different zip datum")
     trace = refine_to_stationary(twist(z, x))
-
-    pairs = [(a, b) for a, b, _ in z.action_pairs]
-    index = {p: i for i, p in enumerate(pairs)}
-    gx = [(g, G.mul(g, x)) for g in trace.g_infinity.elements]
-    fibers = {}
-    for i, (a, b) in enumerate(pairs):
-        binv = G.inv(b)
-        for g, g_x in gx:
-            fibers.setdefault(G.mul(G.mul(a, g_x), binv), []).append((i, g))
-
-    if frozenset(fibers) != report.part_of(x).members:
-        return False
+    ginf, xinv = trace.g_infinity, G.inv(x)
     stationary_pairs = trace.stationary_datum.action_pairs
-    size = len(stationary_pairs)
-    if any(len(f) != size for f in fibers.values()):
-        return False
-
-    acting = []
-    for u, w, eps in stationary_pairs:
-        v = z.pair_of(eps)[1]
-        acting.append((G.inv(u), G.inv(v), u, G.inv(w)))
-    moved = {}  # pair index -> indices of its products with the acting pair inverses
-    for fiber in fibers.values():
-        i0, g0 = fiber[0]
-        if i0 not in moved:
-            a0, b0 = pairs[i0]
-            moved[i0] = [index[G.mul(a0, uinv), G.mul(b0, vinv)] for uinv, vinv, _, _ in acting]
-        orbit = set(zip(moved[i0], (G.mul(G.mul(u, g0), winv) for _, _, u, winv in acting)))
-        if len(orbit) != size or orbit != set(fiber):
+    for _, w, eps in stationary_pairs:
+        if w not in ginf.members or w != G.mul(G.mul(x, z.pair_of(eps)[1]), xinv):
             return False
-    return True
+
+    gx = [G.mul(g, x) for g in ginf.elements]
+    counts = Counter()
+    for a, b, _ in z.action_pairs:
+        binv = G.inv(b)
+        counts.update(G.mul(G.mul(a, g_x), binv) for g_x in gx)
+    return counts.keys() == report.part_of(x).members and set(counts.values()) == {len(stationary_pairs)}
 
 
 def groupoid_equivalence_check(z: ZipDatum, x, y, e, e_tilde) -> bool:

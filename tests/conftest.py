@@ -45,6 +45,21 @@ def twist_by_inverse(monkeypatch):
         monkeypatch.setattr(module, "twist", lambda z, x: twist(z, z.G.inv(x)))
 
 
+@pytest.fixture
+def trace_cut_early(monkeypatch):
+    """A mutant: where the equivalence checks call it, refine_to_stationary
+    drops the last stage of its trace, when it has more than one."""
+    from zipcalc import equivalence, zipdata
+
+    refine_to_stationary = zipdata.refine_to_stationary
+
+    def cut(z):
+        data = refine_to_stationary(z).data
+        return zipdata.RefinementTrace(data[:-1] or data)
+
+    monkeypatch.setattr(equivalence, "refine_to_stationary", cut)
+
+
 # one line per acceptance criterion, printed at the end of the run
 ACCEPTANCE_LINES: list[str] = []
 

@@ -257,12 +257,16 @@ def test_torsor_s3_data(zoo):
             assert torsor_check(z, x, report=report), name
 
 
-def test_torsor_matches_naive_full_domain(zoo):
-    for name in ("s3-reflection-pair", "s3-mixed", "gl2f2-borel", "trivial-e"):
-        z = zoo[name]
+def test_torsor_matches_naive_full_domain(zoo, witt22, witt23):
+    # every x of the zoo and of witt-p2-n2; witt-p2-n3 at its forest roots
+    # and class witnesses
+    for name, z in [*zoo.items(), ("witt-p2-n2", witt22[0]), ("witt-p2-n3", witt23[0])]:
         report = zip_classes(z)
-        for x in z.G.elements[:3]:
-            assert torsor_check(z, x, report=report) == oracles.naive_torsor_check(z, x), name
+        xs = z.G.elements
+        if name == "witt-p2-n3":
+            xs = sorted({*build_forest(z).root_decomposition.representatives(), *report.parts})
+        for x in xs:
+            assert torsor_check(z, x, report=report) == oracles.naive_torsor_check(z, x), (name, x)
 
 
 def test_torsor_with_report_members(witt22):

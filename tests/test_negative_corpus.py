@@ -2,9 +2,10 @@
 
 A check that no input can make fail passes every test as `return True`.  The
 bad inputs here are a forged coarse report, the trace of another twist, zip
-data whose tables were corrupted past their homomorphism certificate, and a
-mutant twist.  The groupoid check's corrupted data are in test_equivalence,
-where its verdicts are compared with a naive oracle.
+data whose tables were corrupted past their homomorphism certificate, a
+mutant twist, and a refinement trace cut one stage early.  The groupoid
+check's corrupted data are in test_equivalence, where its verdicts are
+compared with a naive oracle.
 """
 
 from __future__ import annotations
@@ -162,3 +163,14 @@ def test_check_rejects_a_twist_by_the_inverse(witt22, check, request):
     assert MUTANT_DRAWS[check](z)
     request.getfixturevalue("twist_by_inverse")
     assert not MUTANT_DRAWS[check](z)
+
+
+def test_torsor_check_rejects_a_trace_cut_early(witt22, request):
+    """At the identity of witt-p2-n2 the stationary pairs of the cut trace
+    do not act inside its G_inf, against the classes of the uncut run."""
+    z, _ = witt22
+    x, report = z.G.identity, zip_classes(z)
+    assert torsor_check(z, x, report=report)
+    request.getfixturevalue("trace_cut_early")
+    assert refine_to_stationary(z).stationary_index >= 1
+    assert not torsor_check(z, x, report=report)
