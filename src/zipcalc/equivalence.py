@@ -17,16 +17,17 @@ splits G into classes.  The torsor check runs on P x G_inf^x under the
 stationary pair group, with fibers of size |P_inf^x| instead of |E_inf^x|.
 It certifies that each stationary pair acts inside G_inf^x and keeps the
 class map's value, so each orbit, free and of size |P_inf^x|, lies in one
-fiber; then counting the values suffices, as a fiber of that size is one
-orbit.  The groupoid check maps pairs to pairs, both sides sharing the
-root's K.
+fiber; as the fibers partition P x G_inf^x, the count
+|class| * |P_inf^x| = |P| * |G_inf^x| then forces each fiber to be one
+orbit, and no point of P x G_inf^x is visited.  The groupoid check maps
+pairs to pairs, both sides sharing the root's K, and tests equivariance at 1
+and at the generators of G_1 only: for each pair, the g where it holds form
+a centralizer, a subgroup (Holt, Eick and O'Brien, ch. 4).
 Elements of E appear only in member_witness and where a check is stated on
 them.
 """
 
 from __future__ import annotations
-
-from collections import Counter
 
 from .groups import InputError, InvariantViolation, Record, Subgroup, conjugate, double_coset_of
 from .groups import Partition, _orbit, _partition
@@ -171,23 +172,35 @@ def torsor_check(z: ZipDatum, x, *, report: ClassReport) -> bool:
     (u, w).((a, b), g) = ((a*u^-1, b*v^-1), u*g*w^-1), where (u, v) and
     (u, w) are one element's pairs in z and its x-twist.
 
-    The check has two parts, and walks no orbit.
+    The check has two parts, and visits no point of P x G_inf^x.
     (1) Each stationary pair (u, w, eps) of the x-twist has w in G_inf^x and
         w = x*v*x^-1, where v = sigma(eps) is read from z's pair table.
-    (2) The values of the map, counted with multiplicity, are the members of
-        the class of x, each taken |P_inf^x| times.
+    (2) The image, the orbit of G_inf^x * x under P walked over its
+        generators, is the class of x in ``report``, and
+        |image| * |P_inf^x| = |P| * |G_inf^x|.
     Proof that they suffice.  By (1) the map is invariant under the action:
     a*u^-1 * u*g*w^-1 * x * v*b^-1 = a*g*x*b^-1, since w^-1*x*v = x.  The
     action is free: its first coordinate is right multiplication by
-    (u, v)^-1 in G x G, and by (1) (u, v) determines w.  So the orbit of a
-    point has |P_inf^x| elements and lies in the point's fiber, and a fiber
-    of that size, as (2) requires, is exactly that orbit.  The action is well
-    defined, and P_inf^x a group acting on P x G_inf^x, because tau and sigma
-    are homomorphisms, as their certificate guarantees: P and P_inf^x are then
-    groups, so (a*u^-1, b*v^-1) lies in P, and G_inf^x = tau(E_inf^x) is a
-    group holding u, g and, by (1), w, so u*g*w^-1 lies in G_inf^x.
-    Conversely a fiber that is one orbit gives (1): value invariance on any
-    point forces w = x*v*x^-1, and u*g*w^-1 in G_inf^x forces w in G_inf^x.
+    (u, v)^-1 in G x G, and by (1) (u, v) determines w.  So each orbit has
+    |P_inf^x| elements and lies in one fiber, and each non-empty fiber is a
+    disjoint union of such orbits.  The fibers partition P x G_inf^x, and
+    |image| of them are non-empty, since the action generators generate P
+    and the image is therefore the map's value set.  So the non-empty
+    fibers, each of at least |P_inf^x| points, hold |P| * |G_inf^x| points
+    between them, and the count in (2) leaves room for exactly one orbit in
+    each.  The action is well defined, and P_inf^x a group acting on
+    P x G_inf^x, because tau and sigma are homomorphisms, as their
+    certificate guarantees: P and P_inf^x are then groups, so
+    (a*u^-1, b*v^-1) lies in P, and G_inf^x = tau(E_inf^x) is a group
+    holding u, g and, by (1), w, so u*g*w^-1 lies in G_inf^x.
+    Conversely fibers that are single orbits give (1), as value invariance
+    on any point forces w = x*v*x^-1 and u*g*w^-1 in G_inf^x forces w in
+    G_inf^x, and give the count, as |image| orbits of |P_inf^x| points
+    cover P x G_inf^x.
+
+    The image is computed the way zip_classes computes the class, so the
+    first clause of (2) tests only the report's G_inf^x and its membership;
+    the statement itself rests on (1) and the count.
 
     This is the class map on E x G_inf^x, where eps acts by
     (e*eps^-1, tau(eps)*g*(x-twisted sigma)(eps)^-1), divided by
@@ -207,12 +220,8 @@ def torsor_check(z: ZipDatum, x, *, report: ClassReport) -> bool:
         if w not in ginf.members or w != G.mul(G.mul(x, z.pair_of(eps)[1]), xinv):
             return False
 
-    gx = [G.mul(g, x) for g in ginf.elements]
-    counts = Counter()
-    for a, b, _ in z.action_pairs:
-        binv = G.inv(b)
-        counts.update(G.mul(G.mul(a, g_x), binv) for g_x in gx)
-    return counts.keys() == report.part_of(x).members and set(counts.values()) == {len(stationary_pairs)}
+    image = _orbit([G.mul(g, x) for g in ginf.members], _class_moves(z))
+    return image == report.part_of(x).members and len(image) * len(stationary_pairs) == len(z._pairs) * ginf.order
 
 
 def groupoid_equivalence_check(z: ZipDatum, x, y, e, e_tilde) -> bool:
@@ -225,7 +234,18 @@ def groupoid_equivalence_check(z: ZipDatum, x, y, e, e_tilde) -> bool:
     induced pair map psi_pair is a bijection from the pairs of the refined
     x-twist onto those of the refined y-twist, and that the map is
     equivariant for the two actions: psi_g(p.g) = psi_pair(p).psi_g(g) for
-    every pair p and every g.
+    every pair p and every g in G_1, tested at g = 1 and at the generators
+    of G_1.
+
+    Those probes suffice.  Write psi_g(g) = T*g*S, with T = tau(e~)^-1 and
+    S = x*sigma(e~)*y^-1; a pair p acts by p.g = p0*g*p1.  For
+    q = psi_pair(p) the equation at g reads m_p*g = g*n_p, where
+    m_p = T^-1*q0^-1*T*p0 and n_p = S*q1*(p1*S)^-1.  At g = 1 it gives
+    m_p = n_p, and then it holds at g exactly when g centralizes m_p.  A
+    centralizer is a subgroup, so the equation holds on all of G_1 if and
+    only if it holds on G_1's generators.  This equivalence is exact for any
+    pair table, forged ones included; computing the generators certifies
+    that G_1 is closed, and raises InputError where it is not.
 
     Orbits and stabilizers then correspond (Holt, Eick and O'Brien, ch. 4).
     p fixes g iff psi_g(p.g) = psi_g(g), as psi_g is injective, iff
@@ -275,4 +295,5 @@ def groupoid_equivalence_check(z: ZipDatum, x, y, e, e_tilde) -> bool:
     def act(pair, g):
         return G.mul(G.mul(pair[0], g), pair[1])
 
-    return all(psi_g[act(p, g)] == act(q, psi_g[g]) for p, q in psi_pair.items() for g in zx1.G)
+    probes = (G.identity, *zx1.G.generators)
+    return all(psi_g[act(p, g)] == act(q, psi_g[g]) for p, q in psi_pair.items() for g in probes)

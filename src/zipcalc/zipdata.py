@@ -30,6 +30,7 @@ from .groups import (
     Record,
     Subgroup,
     _mulclose,
+    double_cosets,
 )
 
 
@@ -236,23 +237,20 @@ def refine_to_stationary(z: ZipDatum) -> RefinementTrace:
 
 
 def e_infinity_characterization_check(z: ZipDatum, trace: RefinementTrace) -> bool:
-    """Cross-check the stationary E against an independent scan of the pairs.
+    """Cross-check the stationary E against an independent description by
+    pairs.
 
     Compares the trace's stationary subgroup with
     { e in E : sigma(e) in G_inf * tau(e) * G_inf }, deciding membership once
     per (tau, sigma)-pair since both sides are unions of pair fibers.
+    sigma(e) lies in G_inf * tau(e) * G_inf exactly when the two share a
+    (G_inf, G_inf) double coset, so one double-coset partition of G answers
+    every pair.  No refinement code is used.
     """
-    G = z.G
-    ginf = trace.g_infinity.members
-    ginf_sorted = trace.g_infinity.elements
+    rep_of = double_cosets(z.G, trace.g_infinity, trace.g_infinity).rep_of
     fibers = z._root._fibers
-    described = set()
-    for r, (a, b) in z._pairs.items():
-        ainv = G.inv(a)
-        # b in Ginf*a*Ginf  iff  some h in Ginf has a^-1*h*b in Ginf
-        if any(G.mul(G.mul(ainv, h), b) in ginf for h in ginf_sorted):
-            described.update(fibers[r])
-    return frozenset(described) == trace.e_infinity.members
+    described = frozenset(e for r, (a, b) in z._pairs.items() if rep_of[a] == rep_of[b] for e in fibers[r])
+    return described == trace.e_infinity.members
 
 
 def twist_refine_identity_check(z: ZipDatum, x, y, *, witnesses=None) -> bool:

@@ -102,6 +102,11 @@ def witt23():
 
 
 @pytest.fixture(scope="session")
+def witt32():
+    return build_witt_zip(WittZipConfig(3, 2))
+
+
+@pytest.fixture(scope="session")
 def witt33():
     return build_witt_zip(WittZipConfig(3, 3))
 

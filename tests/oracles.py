@@ -116,6 +116,24 @@ def naive_refinement_chain(z, x):
         e_cur, g_cur = e_next, g_next
 
 
+def naive_e_infinity_characterization(z, trace):
+    """The trace's stationary E against
+    {e in E : sigma(e) in G_inf * tau(e) * G_inf}, over the tables of tau and
+    sigma, deciding each (tau(e), sigma(e)) pair (a, b) by a scan of G_inf
+    for an h with a^-1 * h * b in G_inf."""
+    G = z.G
+    tau, sigma = z.tau.table, z.sigma.table
+    ginf = trace.g_infinity.members
+    qualifies = {}
+    for e in z.E.elements:
+        a, b = tau[e], sigma[e]
+        if (a, b) not in qualifies:
+            ainv = G.inv(a)
+            qualifies[a, b] = any(G.mul(G.mul(ainv, h), b) in ginf for h in ginf)
+    described = frozenset(e for e in z.E.elements if qualifies[tau[e], sigma[e]])
+    return described == trace.e_infinity.members
+
+
 def naive_zip_classes(z):
     """Coarse classes straight from the definition, over all of E, with the
     stationary group of each witness from the naive refinement chain."""

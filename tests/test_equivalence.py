@@ -16,6 +16,7 @@ from zipcalc import (
     ZipDatum,
     build_forest,
     build_witt_zip,
+    closure,
     coarsening_check,
     double_cosets,
     fine_orbits,
@@ -276,6 +277,16 @@ def test_torsor_with_report_members(witt22):
         assert torsor_check(z, c.witness, report=report)
 
 
+def test_torsor_count_rejects_a_twist_by_the_inverse(witt22, request):
+    # at this x of witt-p2-n2 the inverse twist's stationary pairs pass part
+    # (1) and its image is the class of x, so the count alone rejects it
+    z, _ = witt22
+    x, report = (1, 1, 1, 0), zip_classes(z)
+    assert torsor_check(z, x, report=report)
+    request.getfixturevalue("twist_by_inverse")
+    assert not torsor_check(z, x, report=report)
+
+
 # -- groupoid equivalence --------------------------------------------------------
 
 
@@ -312,16 +323,19 @@ def test_groupoid_rejects_bad_witnesses(witt22):
 @settings(max_examples=60)
 @given(st.data())
 def test_groupoid_check_matches_naive_oracle(s3, s4, data):
-    # tau the identity keeps every action inside G_1 = G; a corrupted sigma
-    # entry half the time makes both verdicts occur
-    G = data.draw(st.sampled_from([s3, s4]))
-    element = st.sampled_from(G.elements)
+    # tau the inclusion of E keeps every action inside G_1 = E: all of G for
+    # E = G = S3 or S4, and the dihedral subgroup of S4, so that the probes
+    # are the generators of a proper subgroup; a corrupted sigma entry half
+    # the time makes both verdicts occur
+    d4 = closure(s4, [(1, 2, 3, 0), (0, 3, 2, 1)]).as_group()
+    E, G = data.draw(st.sampled_from([(s3, s3), (s4, s4), (d4, s4)]))
+    source, element = st.sampled_from(E.elements), st.sampled_from(G.elements)
     c = data.draw(element)
-    table = {a: G.conjugate(c, a) for a in G}
+    table = {a: G.conjugate(c, a) for a in E}
     if data.draw(st.booleans()):
-        table[data.draw(element)] = data.draw(element)
-    z = ZipDatum(G, G, inclusion_hom(G, G), forged_hom(G, G, table))
-    x, e, et = data.draw(element), data.draw(element), data.draw(element)
+        table[data.draw(source)] = data.draw(element)
+    z = ZipDatum(E, G, inclusion_hom(E, G), forged_hom(E, G, table))
+    x, e, et = data.draw(element), data.draw(source), data.draw(source)
     y = G.mul(G.mul(z.tau(e), x), z.sigma(et))
     expected = oracles.naive_groupoid_equivalence_check(z, x, y, e, et)
     assert groupoid_equivalence_check(z, x, y, e, et) == expected

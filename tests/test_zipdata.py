@@ -10,6 +10,7 @@ from zipcalc import (
     Homomorphism,
     InputError,
     MatrixGroup,
+    RefinementTrace,
     ZipDatum,
     e_infinity_characterization_check,
     inclusion_hom,
@@ -264,6 +265,19 @@ def test_characterization_random_permutation_data(s4):
     for tau, sigma in [(incl, conj), (conj, incl), (incl, trivial_hom(sub, s4))]:
         z = ZipDatum(sub, s4, tau, sigma)
         assert e_infinity_characterization_check(z, refine_to_stationary(z))
+
+
+def test_characterization_matches_naive_oracle(zoo, witt22, witt23, witt32):
+    # the true trace and one cut a stage early, which some of the data reject
+    data = [*zoo.items(), ("witt-p2-n2", witt22[0]), ("witt-p2-n3", witt23[0]), ("witt-p3-n2", witt32[0])]
+    verdicts = set()
+    for name, z in data:
+        trace = refine_to_stationary(z)
+        for t in (trace, RefinementTrace(trace.data[:-1] or trace.data)):
+            verdict = e_infinity_characterization_check(z, t)
+            assert verdict == oracles.naive_e_infinity_characterization(z, t), name
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 # -- twist/refine identities -------------------------------------------------------
