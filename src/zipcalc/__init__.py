@@ -22,7 +22,6 @@ _EXPORTS = {
         "PermutationGroup",
         "Subgroup",
         "closure",
-        "conjugate",
         "conjugation_hom",
         "double_coset_of",
         "double_cosets",
@@ -46,20 +45,16 @@ _EXPORTS = {
         "coarsening_check",
         "fine_orbits",
         "groupoid_equivalence_check",
-        "member_stationary_subgroups",
-        "member_witness",
         "refinement_bijection_check",
         "torsor_check",
         "zip_classes",
     ),
     "forest": (
-        "ClassificationPath",
         "RepForest",
         "build_forest",
         "classify",
         "forest_to_dot",
         "limit_bijection_check",
-        "reconstruct",
     ),
     "zoo": ("WittZipConfig", "build_small_zoo", "build_witt_zip", "zoo_entry"),
     "verify": ("CheckResult", "run_verification"),

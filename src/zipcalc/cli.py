@@ -172,14 +172,15 @@ def _read_config(config_path: Path) -> tuple:
     checked: (cfg, twist literal, seed, command, output directory)."""
     where = str(config_path)
     try:
-        text = config_path.read_text(encoding="utf-8")
+        data = config_path.read_bytes()
     except OSError as exc:
         _fail(where, f"cannot read config: {exc}")
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
-        # JSONDecodeError is a ValueError, and so is an integer literal past
-        # CPython's digit limit; nesting too deep raises RecursionError
+        # UnicodeDecodeError and JSONDecodeError are ValueErrors, and so is an
+        # integer literal past CPython's digit limit; nesting too deep raises
+        # RecursionError
         _fail(where, f"invalid JSON: {exc}")
     if not isinstance(cfg, dict):
         _fail(where, "config must be a JSON object")

@@ -23,13 +23,12 @@ orbit, and no point of P x G_inf^x is visited.  The groupoid check maps
 pairs to pairs, both sides sharing the root's K, and tests equivariance at 1
 and at the generators of G_1 only: for each pair, the g where it holds form
 a centralizer, a subgroup (Holt, Eick and O'Brien, ch. 4).
-Elements of E appear only in member_witness and where a check is stated on
-them.
+Elements of E appear only where a check is stated on them.
 """
 
 from __future__ import annotations
 
-from .groups import InputError, InvariantViolation, Record, Subgroup, conjugate, double_coset_of
+from .groups import InputError, Record, double_coset_of
 from .groups import Partition, _orbit, _partition
 from .zipdata import ZipDatum, refine, refine_to_stationary, twist
 
@@ -95,38 +94,6 @@ def zip_classes(z: ZipDatum) -> ClassReport:
         return ZipClass(x, members, trace.e_infinity, ginf)
 
     return ClassReport(z, "zip-coarse", _partition(z.G.elements, coarse))
-
-
-def member_witness(report: ClassReport, y) -> tuple:
-    """(e, g) with y = tau(e) * g * x * sigma(e)^-1, x the witness of y's
-    class and g in G_inf^x (g = 1 for fine orbits), found on demand: from the
-    first pair (a, b) of action_pairs whose g = a^-1 * y * b * x^-1 qualifies,
-    with e the pair's key-minimal element of E.  It exhibits the definition
-    of the relation, y ~ x, for each member of a class."""
-    c = report.part_of(y)
-    z = report.datum
-    G = z.G
-    allowed = c.g_infinity.members if c.g_infinity is not None else {G.identity}
-    xinv = G.inv(c.witness)
-    for a, b, e in z.action_pairs:
-        g = G.mul(G.mul(G.inv(a), y), G.mul(b, xinv))
-        if g in allowed:
-            return e, g
-    raise InvariantViolation("class member has no witness pair")
-
-
-def member_stationary_subgroups(report: ClassReport, y) -> tuple:
-    """(E_inf^y, G_inf^y) transported from the class witness via y's
-    witness pair, using the conjugation identity of the coarse relation:
-    E_inf^y = e * E_inf^x * e^-1 for y = tau(e) * g * x * sigma(e)^-1."""
-    c = report.part_of(y)
-    if c.e_infinity is None:
-        raise InputError("fine-orbit reports carry no stationary subgroups")
-    e, _ = member_witness(report, y)
-    z = report.datum
-    einf_y = conjugate(Subgroup(z.E, c.e_infinity.members), e)
-    ginf_y = Subgroup(z.G, frozenset(z.tau(h) for h in einf_y.members))
-    return einf_y, ginf_y
 
 
 def coarsening_check(fine: ClassReport, coarse: ClassReport) -> bool:

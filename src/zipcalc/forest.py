@@ -13,7 +13,7 @@ classification walks the materialized part.
 
 from __future__ import annotations
 
-from .groups import InputError, InvariantViolation, Partition, Record, double_cosets
+from .groups import InputError, InvariantViolation, Partition, double_cosets
 from .zipdata import ZipDatum, is_tau_surjective, refine, twist
 
 
@@ -48,16 +48,6 @@ class ForestNode:
 
     def __repr__(self):
         return f"<ForestNode gen={self.generation} stable={self.stable}>"
-
-
-class ClassificationPath(Record):
-    """Entries (r_0, ..., r_N) along a root-to-leaf walk of the forest, and
-    the group they lie in."""
-
-    __slots__ = _fields = ("entries", "group")
-
-    def __len__(self):
-        return len(self.entries)
 
 
 class RepForest:
@@ -155,12 +145,13 @@ def _transport(datum: ZipDatum, x, rep):
     raise InvariantViolation("element escaped its own double coset")
 
 
-def classify(forest: RepForest, x) -> ClassificationPath:
-    """The representative path of x, walked down from the top node: at an
-    unstable node the entry indexes the coset of the current element in the
-    node's double quotient, which then moves on to its transport; at a
-    stable node the entry is the identity.  r_0 thus indexes the double
-    coset of x, and the walk stops at the stable generation."""
+def classify(forest: RepForest, x) -> tuple:
+    """The representative path of x, its entries (r_0, ..., r_N) walked down
+    from the top node: at an unstable node the entry indexes the coset of
+    the current element in the node's double quotient, which then moves on
+    to its transport; at a stable node the entry is the identity.  r_0 thus
+    indexes the double coset of x, and the walk stops at the stable
+    generation."""
     G = forest.datum.G
     if x not in G:
         raise InputError("element outside the carrier of G")
@@ -173,17 +164,7 @@ def classify(forest: RepForest, x) -> ClassificationPath:
             current = _transport(node.datum, current, r)
         entries.append(r)
         node = node.children[r]
-    return ClassificationPath(tuple(entries), G)
-
-
-def reconstruct(path: ClassificationPath):
-    """The product r_N * ... * r_0 over the materialized generations: an
-    element of the class the path classifies, whose own path it is."""
-    G = path.group
-    out = path.entries[0]
-    for r in path.entries[1:]:
-        out = G.mul(r, out)
-    return out
+    return tuple(entries)
 
 
 def limit_bijection_check(forest: RepForest, oracle: ClassReport) -> bool:
@@ -196,12 +177,12 @@ def limit_bijection_check(forest: RepForest, oracle: ClassReport) -> bool:
         return False
     seen = set()
     for c in oracle.classes:
-        path = classify(forest, c.witness).entries
+        path = classify(forest, c.witness)
         if path in seen:
             return False
         seen.add(path)
         for m in c.members:
-            if m != c.witness and classify(forest, m).entries != path:
+            if m != c.witness and classify(forest, m) != path:
                 return False
     return True
 

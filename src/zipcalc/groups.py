@@ -638,7 +638,8 @@ class CayleyTableGroup(FiniteGroup):
 
 
 class Subgroup:
-    """A subgroup of an ambient group, stored as a set of carrier elements."""
+    """A subgroup of an ambient group, stored as a set of carrier elements.
+    Membership and comparison go through ``members``, a frozenset."""
 
     def __init__(self, ambient: FiniteGroup, members):
         members = frozenset(members)
@@ -654,23 +655,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.members)
-
-    def __contains__(self, a):
-        return a in self.members
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __len__(self):
-        return len(self.members)
-
-    def __eq__(self, other):
-        if not isinstance(other, Subgroup):
-            return NotImplemented
-        return self.ambient.space() == other.ambient.space() and self.members == other.members
-
-    def __hash__(self):
-        return hash((self.ambient.space(), self.members))
 
     def __repr__(self):
         return f"<Subgroup order={self.order} of {self.ambient!r}>"
@@ -697,16 +681,6 @@ def closure(ambient: FiniteGroup, generators) -> Subgroup:
         if g not in ambient:
             raise InputError("closure generator outside the ambient carrier")
     return Subgroup(ambient, _mulclose(ambient.mul, ambient.identity, gens)[0])
-
-
-def conjugate(sub: Subgroup, x) -> Subgroup:
-    """The subgroup {x * h * x^-1 : h in sub}: the transport of stationary
-    subgroups along a class, E_inf^y = e * E_inf^x * e^-1 (equivalence)."""
-    amb = sub.ambient
-    if x not in amb:
-        raise InputError("conjugating element outside the ambient carrier")
-    xinv = amb.inv(x)
-    return Subgroup(amb, frozenset(amb.mul(amb.mul(x, h), xinv) for h in sub.members))
 
 
 # ---------------------------------------------------------------------------

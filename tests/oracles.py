@@ -154,6 +154,25 @@ def naive_zip_classes(z):
     return sorted(classes)
 
 
+def naive_class_witness(z, x, ginf, y):
+    """(e, g) with y = tau(e) * g * x * sigma(e)^-1 and g in ginf, from a scan
+    of E in key order, each e fixing g = tau(e)^-1 * y * sigma(e) * x^-1;
+    None when no element of E qualifies."""
+    G = z.G
+    xinv = G.inv(x)
+    for e in z.E.elements:
+        g = G.mul(G.mul(G.inv(z.tau(e)), y), G.mul(z.sigma(e), xinv))
+        if g in ginf:
+            return e, g
+    return None
+
+
+def naive_conjugate(group, members, x):
+    """{x * h * x^-1 : h in members}."""
+    xinv = group.inv(x)
+    return frozenset(group.mul(group.mul(x, h), xinv) for h in members)
+
+
 def naive_torsor_check(z, x):
     """Full-domain fiber/orbit comparison for the class map of x."""
     G, E = z.G, z.E

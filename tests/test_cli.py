@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from zipcalc import cli
 from zipcalc.cli import COMMANDS, EXIT_CHECK, EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, load_job, main
 
 
@@ -135,13 +136,13 @@ def test_zoo_preset_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "text",
-    ["{nope", "[" * 200000, '{"seed": ' + "1" * 5000 + "}"],
-    ids=["syntax", "nested-too-deep", "integer-over-digit-limit"],
+    "data",
+    [b"{nope", b"[" * 200000, b'{"seed": ' + b"1" * 5000 + b"}", '{"name": "\u00e9"}'.encode("latin-1")],
+    ids=["syntax", "nested-too-deep", "integer-over-digit-limit", "not-utf-8"],
 )
-def test_invalid_json_names_config_path(tmp_path, capsys, text):
+def test_invalid_json_names_config_path(tmp_path, capsys, data):
     path = tmp_path / "broken.json"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(data)
     code, _, err = run(capsys, "--config", str(path), "--command", "classes")
     assert code == EXIT_CONFIG
     assert err.startswith(f"config error: {path}: invalid JSON: ")
@@ -564,7 +565,28 @@ def test_unwritable_out_path_exits_two_naming_it(witt22_config, tmp_path, capsys
 
 
 def test_load_job_without_a_limit(witt22_config):
+    # perfbench/runner.py's setup mode calls load_job with the path alone
     assert load_job(witt22_config).datum.E.order == 32
+
+
+@pytest.mark.parametrize("command, builder", [("classes", "load_job"), ("zoo", "build_small_zoo")])
+def test_main_builds_the_datum_once_through_the_module_global(witt22_config, tmp_path, capsys, monkeypatch,
+                                                              command, builder):
+    # perfbench/runner.py ends setup_s when cli.load_job, or cli.build_small_zoo
+    # for the zoo command, returns: it rebinds both module globals
+    calls = {"load_job": 0, "build_small_zoo": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(cli, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    argv = ["--command", command, "--out", str(tmp_path / "out")]
+    if command == "classes":
+        argv += ["--config", str(witt22_config)]
+    code, _, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert calls == {name: int(name == builder) for name in calls}
 
 
 # -- whole-config fuzz --------------------------------------------------------------

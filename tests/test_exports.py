@@ -1,10 +1,12 @@
 """Every name the package exports is read by the library, the acceptance
-suite or the scripts, or is listed in KEPT with the statement it serves.
-The check runs on the syntax tree, as test_imports does."""
+suite or the scripts, and every name the benchmark's tracer wraps exists.
+The export check runs on the syntax tree, as test_imports does."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import zipcalc
@@ -16,11 +18,11 @@ USERS = (
     *sorted((ROOT / "scripts").glob("*.py")),
 )
 MODULES = {"zipcalc", "cli", "equivalence", "forest", "groups", "reports", "verify", "zipdata", "zoo"}
-# Exports only the unit tests call, each with the statement it serves; the
-# test fails once an entry is read elsewhere, so none can go stale.
-KEPT = {
-    "member_stationary_subgroups": "the conjugation identity E_inf^y = e * E_inf^x * e^-1 along a class",
-    "reconstruct": "stable forest paths classify: a path's product lies in the class it names",
+# Tracer targets the program no longer has, each with the reason its metric
+# survives; the test fails once an entry resolves or leaves the tracer.
+GONE_TARGETS = {
+    "zipcalc.groups:preimage": "the module function was deleted; groups.preimage is measured "
+    "through Homomorphism.preimage",
 }
 
 
@@ -48,4 +50,22 @@ def test_every_export_has_a_reader():
     read = set()
     for path in USERS:
         read |= references(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
-    assert set(zipcalc.__all__) - read == set(KEPT)
+    assert set(zipcalc.__all__) - read == set()
+
+
+def test_every_tracer_target_resolves():
+    # perfbench/tracer.py reports a metric absent only when all its targets
+    # are gone, so a single lost target would go unreported.  The lookup is
+    # the tracer's own _resolve; install would rewrap the library for the
+    # rest of the session.
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench/tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    importlib.import_module("zipcalc.cli")  # registers every module a target names
+    unresolved = {
+        f"{module}:{path}"
+        for targets in [*tracer.SPANS.values(), *tracer.COUNTERS.values()]
+        for module, path in targets
+        if tracer._resolve(module, path) is None
+    }
+    assert unresolved == set(GONE_TARGETS)

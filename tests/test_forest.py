@@ -8,7 +8,6 @@ from zipcalc import (
     classify,
     forest_to_dot,
     limit_bijection_check,
-    reconstruct,
     zip_classes,
 )
 
@@ -67,16 +66,16 @@ def test_classify_identity_path(zoo):
     z = zoo["s3-mixed"]
     forest = build_forest(z)
     path = classify(forest, z.G.identity)
-    assert path.entries[0] == forest.root_decomposition.rep_of[z.G.identity]
-    assert reconstruct(path) in zip_classes(z).part_of(z.G.identity).members
+    assert path[0] == forest.root_decomposition.rep_of[z.G.identity]
+    assert reconstruct_path(forest, path) in zip_classes(z).part_of(z.G.identity).members
 
 
 def test_classify_witt_antidiagonal(witt22):
     z, x = witt22
     forest = build_forest(z)
     path = classify(forest, x)
-    assert path.entries == (forest.root_decomposition.rep_of[x],)
-    assert reconstruct(path) == forest.root_decomposition.rep_of[x]
+    assert path == (forest.root_decomposition.rep_of[x],)
+    assert reconstruct_path(forest, path) == forest.root_decomposition.rep_of[x]
 
 
 def test_classify_rejects_outside_element(witt22):
@@ -91,13 +90,14 @@ def test_reconstruct_round_trips_on_leaf_paths(witt23, zoo):
         forest = build_forest(z)
         for leaf in forest.leaves:
             entries = leaf.path_elements()
-            assert reconstruct(classify(forest, reconstruct_path(forest, entries))) == reconstruct_path(
-                forest, entries
-            )
-            assert classify(forest, reconstruct_path(forest, entries)).entries == entries
+            y = reconstruct_path(forest, entries)
+            assert classify(forest, y) == entries
+            assert reconstruct_path(forest, classify(forest, y)) == y
 
 
 def reconstruct_path(forest, entries):
+    """The product r_N * ... * r_0 of a path's entries: an element of the
+    class the path classifies, whose own path it is."""
     G = forest.datum.G
     out = entries[0]
     for r in entries[1:]:
@@ -110,7 +110,7 @@ def test_classify_lands_in_same_class(witt23):
     forest = build_forest(z)
     report = zip_classes(z)
     for x in z.G.elements[::7]:
-        y = reconstruct(classify(forest, x))
+        y = reconstruct_path(forest, classify(forest, x))
         assert report.rep_of[y] == report.rep_of[x]
 
 

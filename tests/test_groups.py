@@ -15,7 +15,6 @@ from zipcalc import (
     PermutationGroup,
     Subgroup,
     closure,
-    conjugate,
     conjugation_hom,
     double_cosets,
     hom_from_generator_images,
@@ -220,14 +219,14 @@ def test_closure_is_a_subgroup(s4, data):
     assert sub.members == oracles.naive_closure(s4, gens)
 
 
-# -- image / preimage / conjugate ----------------------------------------------
+# -- image / preimage ----------------------------------------------------------
 
 
 def test_image_identity_hom(s3):
     h = inclusion_hom(s3, s3)
-    assert h.image() == Subgroup(s3, s3.element_set)
+    assert h.image().members == s3.element_set
     sub = closure(s3, [(1, 2, 0)])
-    assert inclusion_hom(sub.as_group(), s3).image() == sub
+    assert inclusion_hom(sub.as_group(), s3).image().members == sub.members
 
 
 def test_image_of_trivial_subgroup(s3, gl2f2):
@@ -245,7 +244,7 @@ def test_preimage_of_full_target(s3):
 def test_preimage_identity_hom(s3):
     h = inclusion_hom(s3, s3)
     sub = closure(s3, [(1, 0, 2)])
-    assert h.preimage(sub) == sub
+    assert h.preimage(sub).members == sub.members
 
 
 def test_witt_image_and_preimage_shapes(witt23):
@@ -256,23 +255,6 @@ def test_witt_image_and_preimage_shapes(witt23):
     assert pre.members == frozenset(e for e in z.E if e[2] % 4 == 0)
 
 
-def test_conjugate_trivial_cases(s3):
-    sub = closure(s3, [(1, 0, 2)])
-    assert conjugate(sub, s3.identity) == sub
-    assert conjugate(closure(s3, []), (1, 2, 0)).members == frozenset([s3.identity])
-
-
-def test_conjugate_transposition(s3):
-    sub = closure(s3, [(1, 0, 2)])
-    conjugated = conjugate(sub, (1, 2, 0))
-    assert conjugated.members == frozenset([(0, 1, 2), (0, 2, 1)])
-
-
-def test_conjugate_rejects_outside_element(s3):
-    with pytest.raises(InputError):
-        conjugate(closure(s3, []), (1, 0, 3, 2))
-
-
 @given(st.data())
 def test_image_preimage_monotone(s4, data):
     x = (1, 2, 3, 0)
@@ -280,10 +262,10 @@ def test_image_preimage_monotone(s4, data):
     small = closure(s4, [s4.elements[data.draw(st.integers(0, s4.order - 1))]])
     big_gen = s4.elements[data.draw(st.integers(0, s4.order - 1))]
     big = closure(s4, list(small.members) + [big_gen])
-    # h is conjugation by x, so the image of a subgroup is its conjugate
-    assert conjugate(small, x).members <= conjugate(big, x).members
     assert h.preimage(small).members <= h.preimage(big).members
-    assert h.preimage(conjugate(small, x)).members >= small.members
+    # h is conjugation by x, so the image of a subgroup is its conjugate
+    small_image = Subgroup(s4, oracles.naive_conjugate(s4, small.members, x))
+    assert h.preimage(small_image).members >= small.members
 
 
 # -- homomorphisms --------------------------------------------------------------

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 import zipcalc
 from zipcalc import (
     CheckResult,
-    ClassificationPath,
     RefinementTrace,
     WittZipConfig,
     ZipClass,
@@ -82,14 +81,14 @@ def test_refine_command_runs_only_the_report_layer(tmp_path):
 # every name the package exports
 EXPORTS = (
     "CayleyTableGroup FiniteGroup Homomorphism InputError InvariantViolation MatrixGroup "
-    "PermutationGroup Subgroup closure conjugate conjugation_hom "
+    "PermutationGroup Subgroup closure conjugation_hom "
     "double_coset_of double_cosets hom_from_generator_images inclusion_hom trivial_hom "
     "RefinementTrace ZipDatum e_infinity_characterization_check is_tau_surjective refine "
     "refine_to_stationary twist twist_refine_identity_check "
     "ClassReport ZipClass coarsening_check fine_orbits groupoid_equivalence_check "
-    "member_stationary_subgroups member_witness refinement_bijection_check torsor_check zip_classes "
-    "ClassificationPath RepForest build_forest classify forest_to_dot limit_bijection_check "
-    "reconstruct WittZipConfig build_small_zoo build_witt_zip zoo_entry CheckResult "
+    "refinement_bijection_check torsor_check zip_classes "
+    "RepForest build_forest classify forest_to_dot limit_bijection_check "
+    "WittZipConfig build_small_zoo build_witt_zip zoo_entry CheckResult "
     "run_verification __version__"
 ).split()
 
@@ -137,7 +136,6 @@ def twin(cls):
 SAMPLES = [
     (Job, ("witt", None, 3), ("witt", None, 4)),
     (ZipClass, (1, frozenset({1, 2}), None, None), (1, frozenset({1}), None, None)),
-    (ClassificationPath, ((1, 2), "G"), ((1, 3), "G")),
     (DoubleCoset, (0, frozenset({0, 1})), (1, frozenset({0, 1}))),
     (RefinementTrace, ((1, 2),), ((1,),)),
     (CheckResult, ("torsor", True), ("torsor", False, "x")),

@@ -104,7 +104,7 @@ def test_derived_e_level_attributes(witt22):
     assert zx.E is z.E and zx.tau is z.tau
     assert zx.sigma.table == {e: z.G.conjugate(x, z.sigma(e)) for e in z.E}
     z1 = refine(zx)
-    assert z1.E.element_set == frozenset(e for e in z.E if zx.sigma(e) in zx.tau_image)
+    assert z1.E.element_set == frozenset(e for e in z.E if zx.sigma(e) in zx.tau_image.members)
     assert z1.tau.table == {e: z.tau(e) for e in z1.E}
     assert z1.sigma.table == {e: zx.sigma(e) for e in z1.E}
     for e in z.E:
