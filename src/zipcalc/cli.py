@@ -7,6 +7,8 @@ Exit codes: 0 success, 2 config error, 3 check failure, 4 resource limit.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import sys
 from pathlib import Path
@@ -139,6 +141,8 @@ def _build_hom(spec, E: FiniteGroup, G: FiniteGroup, where: str) -> Homomorphism
                 if not isinstance(pair, list) or len(pair) != 2:
                     _fail(f"{where}.entries[{i}]", "expected [element, image]")
                 src = _parse_element(E, pair[0], f"{where}.entries[{i}][0]")
+                if src in table:
+                    _fail(f"{where}.entries[{i}][0]", f"source element {E.format_element(src)} is listed twice")
                 img = _parse_element(G, pair[1], f"{where}.entries[{i}][1]")
                 table[src] = img
             return Homomorphism(E, G, table)
@@ -340,6 +344,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Freeze the collector at exit, so that CPython's final collection skips
+    # every live object instead of walking memory the OS takes back anyway.
+    # Registered here, not at import, so that a program that only imports
+    # zipcalc keeps its own exit; unregistered first, so that repeated calls
+    # leave one callback.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     args = build_parser().parse_args(argv)
     try:
         config = _read_config(args.config) if args.config is not None else (None, None, 0, None, None)

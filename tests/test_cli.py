@@ -467,6 +467,26 @@ def test_bad_generator_or_row_is_named_by_its_path(tmp_path, capsys, group, path
     assert err == f"config error: {cfg}.groups.E.{path}: {message}\n"
 
 
+C2 = {"backend": "cayley", "table": [[0, 1], [1, 0]]}
+
+
+@pytest.mark.parametrize(
+    "entries, path, message",
+    [
+        pytest.param([[0, 0], [1, 1], [1, 0]], "entries[2][0]", "source element 1 is listed twice", id="source-twice"),
+        pytest.param([[0, 0], [0, 0], [1, 1]], "entries[1][0]", "source element 0 is listed twice",
+                     id="source-twice-same-image"),
+        pytest.param([[0, 0], [1]], "entries[1]", "expected [element, image]", id="entry-not-a-pair"),
+    ],
+)
+def test_bad_table_hom_entry_is_named_by_its_path(tmp_path, capsys, entries, path, message):
+    payload = {"groups": {"E": C2, "G": C2}, "tau": {"type": "table", "entries": entries}, "sigma": {"type": "trivial"}}
+    cfg = write_config(tmp_path, "badtable.json", payload)
+    code, out, err = run(capsys, "--config", str(cfg), "--command", "classes")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == f"config error: {cfg}.tau.{path}: {message}\n"
+
+
 def test_max_order_refuses_witt_preset_before_building(tmp_path, capsys, monkeypatch):
     def unreachable(config):
         raise AssertionError("build_witt_zip ran despite --max-order")

@@ -1,10 +1,14 @@
-"""What a CLI job loads before it has a datum, the lazy package exports, the
-built-in digest, and the immutable value types that replaced dataclasses."""
+"""What a CLI job loads before it has a datum, how it exits, the lazy
+package exports, the built-in digest, and the immutable value types that
+replaced dataclasses."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -23,11 +27,12 @@ from zipcalc import (
     ZipClass,
     refine_to_stationary,
 )
-from zipcalc.cli import Job
+from zipcalc.cli import EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, Job, main
 from zipcalc.groups import DoubleCoset
 from zipcalc.reports import members_digest
 
 SRC = Path(zipcalc.__file__).resolve().parent.parent
+CONFIGS = SRC.parent / "configs"
 
 # Run in a fresh interpreter: prints which modules the job loaded beyond
 # those present at start, and which lazy layers have run their body.
@@ -76,6 +81,91 @@ def test_refine_command_runs_only_the_report_layer(tmp_path):
     result = probe(tmp_path, "refine")
     assert not HEAVY & set(result["loaded"])
     assert result["ran"] == ["reports"]
+
+
+# -- exit: main freezes the collector at interpreter exit ---------------------------
+
+
+def fresh(args, tmp_path):
+    """Run a fresh interpreter from tmp_path, stdout and stderr to pipes."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, *args], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def write_json(path, payload):
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+TRANSCRIPTS = {
+    "classes": (lambda tmp: ["--config", str(CONFIGS / "witt-p2-n2.json"), "--command", "classes"], EXIT_OK),
+    "zoo": (lambda tmp: ["--command", "zoo"], EXIT_OK),
+    "config-error": (
+        lambda tmp: ["--config", write_json(tmp / "bad.json", {"preset": {"kind": "nope"}}), "--command", "classes"],
+        EXIT_CONFIG,
+    ),
+    "max-order": (
+        lambda tmp: ["--config", write_json(tmp / "witt33.json", {"preset": {"kind": "witt", "p": 3, "n": 3}}),
+                     "--command", "classes"],
+        EXIT_RESOURCE,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", TRANSCRIPTS)
+def test_fresh_process_transcript_equals_in_process_main(tmp_path, case):
+    # a pipe makes the fresh process's stdout block-buffered, so its reports
+    # are still in the buffer when the exit hook runs
+    make_argv, expected = TRANSCRIPTS[case]
+    argv = make_argv(tmp_path)
+    done = fresh(["-m", "zipcalc.cli", *argv], tmp_path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == expected
+    assert (done.returncode, done.stdout, done.stderr) == (code, out.getvalue(), err.getvalue())
+
+
+def test_main_leaves_the_in_process_collector_alone(tmp_path):
+    frozen = gc.get_freeze_count()
+    argv = ["--config", str(CONFIGS / "witt-p2-n2.json"), "--command", "classes", "--out", str(tmp_path)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == EXIT_OK
+        with pytest.raises(SystemExit):  # argparse's exit, after the hook is registered
+            main(["--command", "no-such-command"])
+    assert gc.get_freeze_count() == frozen
+    assert gc.isenabled()
+
+
+# Counts the exit hook's runs and reads the collector at exit.  Registered
+# before main, the probe runs after main's hook: atexit callbacks run last
+# in, first out.
+EXIT_PROBE = """
+import atexit, gc, sys
+freeze, runs = gc.freeze, []
+gc.freeze = lambda: runs.append(freeze())
+atexit.register(lambda: print("at exit: hook runs", len(runs), "frozen", gc.get_freeze_count() > 0))
+from zipcalc.cli import main
+code = main(sys.argv[1:])
+try:
+    main(["--command", "no-such-command"])
+except SystemExit:
+    pass
+print("after main: frozen", gc.get_freeze_count() > 0, "enabled", gc.isenabled())
+sys.exit(code)
+"""
+
+
+def test_a_fresh_interpreter_that_ran_main_twice_freezes_once_at_exit(tmp_path):
+    argv = ["--config", str(CONFIGS / "witt-p2-n2.json"), "--command", "refine", "--out", str(tmp_path / "out")]
+    done = fresh(["-c", EXIT_PROBE, *argv], tmp_path)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout.splitlines()[-2:] == [
+        "after main: frozen False enabled True",
+        "at exit: hook runs 1 frozen True",
+    ]
 
 
 # every name the package exports

@@ -11,6 +11,7 @@ from zipcalc import (
     WittZipConfig,
     build_small_zoo,
     build_witt_zip,
+    double_cosets,
     zip_classes,
     zoo_entry,
 )
@@ -144,3 +145,13 @@ def test_c2cube_projection_has_proper_image(zoo):
     z = zoo["c2cube-projection"]
     assert z.sigma.image().order == 4
     assert z.tau.image().order == 8
+
+
+@pytest.mark.parametrize("p, n", [(2, 4), (3, 2), (5, 2)])
+def test_witt_family_has_two_classes_in_the_identity_and_antidiagonal_cosets(p, n):
+    # the class-count shape the acceptance suite asserts on witt-p2-n2 and witt-p2-n3
+    z, x = build_witt_zip(WittZipConfig(p, n))
+    report = zip_classes(z)
+    assert report.class_count == 2
+    dec = double_cosets(z.G, z.tau.image(), z.sigma.image())
+    assert {dec.rep_of[c.witness] for c in report.classes} == {dec.rep_of[z.G.identity], dec.rep_of[x]}
