@@ -29,7 +29,6 @@ def run(p, n):
     classed = time.monotonic() - started
 
     forest = build_forest(datum)
-    total = time.monotonic() - started + built
     print(
         f"p={p} n={n}: |E|={datum.E.order} |G|={datum.G.order} "
         f"stationary_index={trace.stationary_index} twisted_index={twisted.stationary_index} "

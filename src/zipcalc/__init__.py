@@ -23,7 +23,6 @@ _EXPORTS = {
         "Subgroup",
         "closure",
         "conjugation_hom",
-        "double_coset_of",
         "double_cosets",
         "hom_from_generator_images",
         "inclusion_hom",

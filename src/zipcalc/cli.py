@@ -325,6 +325,17 @@ def _enforce_max_order(biggest: int, max_order: int | None):
         )
 
 
+def _max_order(text: str) -> int:
+    """--max-order's type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zipcalc",
@@ -336,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--twist", help="element literal in G; overrides the config twist")
     parser.add_argument(
         "--max-order",
-        type=int,
+        type=_max_order,
         default=20000,
         help="refuse carriers larger than this (default 20000)",
     )

@@ -28,8 +28,7 @@ Elements of E appear only where a check is stated on them.
 
 from __future__ import annotations
 
-from .groups import InputError, Record, double_coset_of
-from .groups import Partition, _orbit, _partition
+from .groups import InputError, Partition, Record, _orbit, _partition
 from .zipdata import ZipDatum, refine, refine_to_stationary, twist
 
 
@@ -120,7 +119,7 @@ def refinement_bijection_check(z: ZipDatum, x, *, coarse: ClassReport) -> bool:
     z1x = refine(twist(z, x))
     sub = zip_classes(z1x)
     carrier_x = frozenset(G.mul(g, x) for g in z1x.G.elements)
-    coset = double_coset_of(G, z.tau_image, z.sigma_image, x)
+    coset = z.double_quotient.part_of(x).members
     expected_targets = {c.witness for c in coarse.classes if c.members & coset}
     seen_targets = set()
     for c in sub.classes:

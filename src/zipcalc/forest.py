@@ -1,27 +1,40 @@
 """Rooted forests of double-coset representatives.
 
 A top node at generation -1 holds the datum itself, with accumulated product
-1.  Every unstable node has as children the representatives of its datum's
-double quotient; a child's accumulated product x~ is its element times its
-parent's, and its datum is the original twisted by x~ and refined once more
-than its parent's.  Generation 0 thus holds representatives of
-tau(E)\\G/sigma(E).  A node is stable once tau is surjective in its datum:
-from there on the double quotients are single cosets and the subtree is an
-identity chain.  Generations are materialized until every node is stable;
-classification walks the materialized part.
+1.  Every unstable node has as children the representatives r of its datum's
+double quotient (ZipDatum.double_quotient); a child's accumulated product is
+r times its parent's, and its datum is its parent's twisted by r and refined
+once.  This is the inductive step of Pink, Wedhorn and Ziegler: the classes
+inside the double coset of r are those of the r-twisted datum refined once.
+Generation 0 thus holds representatives of tau(E)\\G/sigma(E).  A node is
+stable once tau is surjective in its datum: from there on the double
+quotients are single cosets and refinement keeps every pair and G, so the
+subtree is an identity chain sharing the node's datum.  Generations are
+materialized until every node is stable; classification walks the
+materialized part.
+
+Built from its parent, a node's datum is the one defined from the root: at
+generation g with accumulated product a it is refine^(g+1)(twist(z, a)).
+Twisting keeps first coordinates, so refine(twist(w, y)) = twist(refine(w), y)
+for every y in tau(E_w), the identity verify's twist-refine-commutation check
+samples.  A child's representative r lies in its parent's G, hence in every
+earlier G of the decreasing chain, and twist(twist(z, a), r) = twist(z, r*a);
+so twist(refine^(g+1)(twist(z, a)), r) = refine^(g+1)(twist(z, r*a)), and
+refining once more gives the child's datum, pair table and carrier alike.
 """
 
 from __future__ import annotations
 
-from .groups import InputError, InvariantViolation, Partition, double_cosets
+from .groups import InputError, InvariantViolation
 from .zipdata import ZipDatum, is_tau_surjective, refine, twist
 
 
 class ForestNode:
-    """One representative in the forest; immutable apart from child wiring."""
+    """One representative in the forest; immutable apart from child wiring.
+    An unstable node's children are keyed by the representatives of its
+    datum's double quotient, a stable node's by the identity alone."""
 
-    __slots__ = ("element", "parent", "generation", "accumulated", "stable", "datum",
-                 "decomposition", "children")
+    __slots__ = ("element", "parent", "generation", "accumulated", "stable", "datum", "children")
 
     def __init__(self, element, parent, generation, accumulated, datum, stable):
         self.element = element
@@ -30,7 +43,6 @@ class ForestNode:
         self.accumulated = accumulated
         self.datum = datum
         self.stable = stable
-        self.decomposition: Partition | None = None
         # element -> child, in key order
         self.children: dict = {}
 
@@ -52,13 +64,14 @@ class ForestNode:
 
 class RepForest:
     """The materialized forest below its top node, and the stable nodes whose
-    carrier's key-minimal element is not the identity.  The datum and the
-    root decomposition tau(E)\\G/sigma(E) are the top node's."""
+    carrier's key-minimal element is not the identity.  The datum is the top
+    node's, and the root decomposition tau(E)\\G/sigma(E) is its double
+    quotient."""
 
     def __init__(self, top, generations, identity_rep_flags):
         self.top = top
         self.datum = top.datum
-        self.root_decomposition = top.decomposition
+        self.root_decomposition = top.datum.double_quotient
         self.generations = generations
         self.identity_rep_flags = identity_rep_flags
 
@@ -75,47 +88,37 @@ class RepForest:
         return self.generations[-1]
 
 
-def _node_datum(z: ZipDatum, accumulated, depth: int, cache: dict) -> ZipDatum:
-    """The original datum twisted by the accumulated product, refined
-    ``depth`` times; intermediate stages are memoized per accumulated twist."""
-    key = (accumulated, depth)
-    if key in cache:
-        return cache[key]
-    if depth == 0:
-        d = z if accumulated == z.G.identity else twist(z, accumulated)
-    else:
-        d = refine(_node_datum(z, accumulated, depth - 1, cache))
-    cache[key] = d
-    return d
-
-
 def build_forest(z: ZipDatum) -> RepForest:
     """Build generations below the top node until every branch is stable.
 
-    The top node is never stable, so generation 0 always holds the root
-    representatives, even when tau is surjective.  Termination: an unstable
-    node's child datum has a strictly smaller carrier, so every path reaches
-    tau-surjectivity within |G| levels.
+    Each child's datum comes from its parent's: refine(twist(d, r)) below an
+    unstable node with datum d, or refine(d) for r = 1, which twists nothing;
+    and d itself below a stable one, where refining keeps every pair and G.
+    Both equal the definition from the root, at generation g
+    refine^(g+1)(twist(z, accumulated)), since refinement commutes with
+    twists inside tau(E) (see the module docstring).  The top node is never
+    stable, so generation 0 always holds the root representatives, even when
+    tau is surjective.  Termination: an unstable node's child datum has a
+    strictly smaller carrier, so every path reaches tau-surjectivity within
+    |G| levels.
     """
     G = z.G
-    cache: dict = {}
     top = ForestNode(G.identity, None, -1, G.identity, z, False)
     generations, layer = [], (top,)
     while not all(node.stable for node in layer):
         nxt = []
         for node in layer:
+            d = node.datum
             if node.stable:
-                steps = [(G.identity, node.accumulated)]
+                steps = [(G.identity, node.accumulated, d)]
             else:
-                d = node.datum
-                node.decomposition = double_cosets(d.G, d.tau_image, d.sigma_image)
                 # the top's accumulated product is 1: no multiplication
-                steps = [(rep, rep if node is top else G.mul(rep, node.accumulated))
-                         for rep in node.decomposition.representatives()]
-            for rep, acc in steps:
-                d = _node_datum(z, acc, node.generation + 2, cache)
-                child = ForestNode(rep, None if node is top else node, node.generation + 1, acc, d,
-                                   node.stable or is_tau_surjective(d))
+                steps = [(rep, rep if node is top else G.mul(rep, node.accumulated),
+                          refine(d if rep == G.identity else twist(d, rep)))
+                         for rep in d.double_quotient.representatives()]
+            for rep, acc, child_datum in steps:
+                child = ForestNode(rep, None if node is top else node, node.generation + 1, acc, child_datum,
+                                   node.stable or is_tau_surjective(child_datum))
                 node.children[rep] = child
                 nxt.append(child)
         layer = tuple(nxt)
@@ -160,7 +163,7 @@ def classify(forest: RepForest, x) -> tuple:
         if node.stable:
             r = G.identity
         else:
-            r = node.decomposition.rep_of[current]
+            r = node.datum.double_quotient.rep_of[current]
             current = _transport(node.datum, current, r)
         entries.append(r)
         node = node.children[r]

@@ -140,7 +140,8 @@ def _mulclose(mul, identity, candidates, carrier=None, limit=None):
                 if y in members:
                     continue
                 if limit is not None and len(members) + len(old) > limit:
-                    raise ResourceLimitExceeded(f"carrier order above {limit}")
+                    # the coset H*y is disjoint from the closure so far
+                    raise ResourceLimitExceeded(f"carrier order at least {len(members) + len(old)}")
                 coset = [mul(h, y) for h in old]
                 if carrier is not None and not carrier.issuperset(coset):
                     raise InputError("carrier is not closed under multiplication")
@@ -797,27 +798,15 @@ class DoubleCoset(Record):
     __slots__ = _fields = ("representative", "members")
 
 
-def _double_coset_moves(ambient: FiniteGroup, left: Subgroup, right: Subgroup) -> list:
-    """Left products by the generators of left, right products by those of
-    right: the moves whose orbit of x is left * x * right."""
+def double_cosets(ambient: FiniteGroup, left: Subgroup, right: Subgroup) -> Partition:
+    """Deterministic double-coset partition with key-minimal representatives:
+    the part of x is its orbit under left products by the generators of left
+    and right products by those of right, left * x * right."""
     for sub, name in ((left, "left"), (right, "right")):
         if sub.ambient.space() != ambient.space() or not sub.members <= ambient.element_set:
             raise InputError(f"{name} is not a subgroup of the ambient group")
     mul = ambient.mul
-    return [lambda g, h=h: mul(h, g) for h in left.generating_set] + [
+    moves = [lambda g, h=h: mul(h, g) for h in left.generating_set] + [
         lambda g, k=k: mul(g, k) for k in right.generating_set
     ]
-
-
-def double_coset_of(ambient: FiniteGroup, left: Subgroup, right: Subgroup, x) -> frozenset:
-    """The single double coset left * x * right."""
-    moves = _double_coset_moves(ambient, left, right)
-    if x not in ambient:
-        raise InputError("element outside the ambient carrier")
-    return frozenset(_orbit([x], moves))
-
-
-def double_cosets(ambient: FiniteGroup, left: Subgroup, right: Subgroup) -> Partition:
-    """Deterministic double-coset partition with key-minimal representatives."""
-    moves = _double_coset_moves(ambient, left, right)
     return _partition(ambient.elements, lambda x: DoubleCoset(x, frozenset(_orbit([x], moves))))

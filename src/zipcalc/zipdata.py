@@ -27,6 +27,7 @@ from .groups import (
     Homomorphism,
     InputError,
     InvariantViolation,
+    Partition,
     Record,
     Subgroup,
     _mulclose,
@@ -100,6 +101,11 @@ class ZipDatum:
     def sigma_image(self) -> Subgroup:
         """pr2(P) = sigma(E), as a subgroup of G."""
         return Subgroup(self.G, frozenset(b for _, b in self._pairs.values()))
+
+    @cached_property
+    def double_quotient(self) -> Partition:
+        """tau(E)\\G/sigma(E), with key-minimal representatives."""
+        return double_cosets(self.G, self.tau_image, self.sigma_image)
 
     @cached_property
     def action_pairs(self) -> tuple:

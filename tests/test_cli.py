@@ -523,10 +523,21 @@ def test_max_order_refuses_explicit_group_while_closing(tmp_path, capsys, monkey
                                              "sigma": {"type": "identity"}})
     code, _, err = run(capsys, "--config", str(cfg), "--command", "classes", "--max-order", "100")
     assert code == EXIT_RESOURCE
-    assert err.startswith(f"resource limit: {cfg}.groups.E: ")
-    assert "--max-order 100" in err
+    # <(0 1)> has order 2, so the closure is refused when its 51st coset would
+    # take it from 100 elements to 102
+    assert err == f"resource limit: {cfg}.groups.E: carrier order at least 102 exceeds --max-order 100\n"
     assert max(carriers, default=0) <= 100
     assert len(products) < 1000  # S8 has 40320 elements
+
+
+@pytest.mark.parametrize("value", ["-5", "0", "abc"])
+def test_max_order_below_one_is_a_usage_error(witt22_config, capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(witt22_config), "--command", "classes", "--max-order", value])
+    assert exc.value.code == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"zipcalc: error: argument --max-order: expected an integer of at least 1, got '{value}'\n")
 
 
 def test_max_order_bounds_element_size_and_table_order(tmp_path, capsys):

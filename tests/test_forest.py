@@ -4,10 +4,15 @@ import pytest
 
 from zipcalc import (
     InputError,
+    WittZipConfig,
     build_forest,
+    build_witt_zip,
     classify,
     forest_to_dot,
     limit_bijection_check,
+    refine,
+    refinement_bijection_check,
+    twist,
     zip_classes,
 )
 
@@ -60,6 +65,33 @@ def test_forest_stability_is_hereditary(witt23, zoo):
             for node in gen:
                 if node.stable:
                     assert all(c.stable and c.element == forest.datum.G.identity for c in node.children.values())
+
+
+def test_node_data_equal_their_definition_from_the_root(zoo, witt22, witt23, witt32):
+    # build_forest derives each node's datum from its parent's; by definition
+    # it is the input twisted by the node's accumulated product, the product
+    # of its path's elements, and refined generation + 1 times
+    z23, antidiagonal = witt23
+    data = {f"zoo:{name}": z for name, z in zoo.items()}
+    data.update({"witt-p2-n2": witt22[0], "witt-p2-n3": z23, "witt-p3-n2": witt32[0],
+                 "witt-p2-n4": build_witt_zip(WittZipConfig(2, 4))[0],
+                 "witt-p2-n3 twisted by the antidiagonal": twist(z23, antidiagonal)})
+    for name, z in data.items():
+        forest = build_forest(z)
+        for node in (forest.top, *(node for gen in forest.generations for node in gen)):
+            if node is not forest.top:
+                parent = node.parent or forest.top
+                assert node.accumulated == z.G.mul(node.element, parent.accumulated), name
+            defined = twist(z, node.accumulated)
+            for _ in range(node.generation + 1):
+                defined = refine(defined)
+            where = (name, node.path_elements())
+            assert node.datum._pairs == defined._pairs, where
+            assert node.datum.G.element_set == defined.G.element_set, where
+        assert forest.root_decomposition is z.double_quotient, name
+        coarse = zip_classes(z)
+        for root in forest.roots:
+            assert refinement_bijection_check(z, root.element, coarse=coarse), (name, root.element)
 
 
 def test_classify_identity_path(zoo):
