@@ -11,6 +11,7 @@ import atexit
 import gc
 import json
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 # The analysis and report layers are lazy modules (see __init__): each one
@@ -23,7 +24,6 @@ from .groups import (
     InputError,
     MatrixGroup,
     PermutationGroup,
-    Record,
     ResourceLimitExceeded,
     hom_from_generator_images,
     inclusion_hom,
@@ -44,10 +44,10 @@ class ConfigError(InputError):
     """A config file problem; the message names the failing config path."""
 
 
-class Job(Record):
+class Job(namedtuple("Job", "name datum seed")):
     """A loaded config: its name, datum and seed."""
 
-    __slots__ = _fields = ("name", "datum", "seed")
+    __slots__ = ()
 
 
 def _fail(where: str, message: str):

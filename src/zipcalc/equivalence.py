@@ -28,18 +28,20 @@ Elements of E appear only where a check is stated on them.
 
 from __future__ import annotations
 
-from .groups import InputError, Partition, Record, _orbit, _partition
+from collections import namedtuple
+
+from .groups import InputError, Partition, _orbit, _partition
 from .zipdata import ZipDatum, refine, refine_to_stationary, twist
 
 
-class ZipClass(Record):
+class ZipClass(namedtuple("ZipClass", "witness members e_infinity g_infinity")):
     """One equivalence class: key-minimal witness, members, per-witness data.
 
     ``e_infinity`` and ``g_infinity`` are the witness's stationary subgroups
     (None for fine orbits).
     """
 
-    __slots__ = _fields = ("witness", "members", "e_infinity", "g_infinity")
+    __slots__ = ()
 
     @property
     def size(self) -> int:

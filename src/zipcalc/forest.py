@@ -100,7 +100,8 @@ def build_forest(z: ZipDatum) -> RepForest:
     stable, so generation 0 always holds the root representatives, even when
     tau is surjective.  Termination: an unstable node's child datum has a
     strictly smaller carrier, so every path reaches tau-surjectivity within
-    |G| levels.
+    |G| levels.  This is checked at every unstable node below the top, and
+    a child that does not shrink raises InvariantViolation naming the node.
     """
     G = z.G
     top = ForestNode(G.identity, None, -1, G.identity, z, False)
@@ -116,6 +117,9 @@ def build_forest(z: ZipDatum) -> RepForest:
                 steps = [(rep, rep if node is top else G.mul(rep, node.accumulated),
                           refine(d if rep == G.identity else twist(d, rep)))
                          for rep in d.double_quotient.representatives()]
+                if node is not top and any(child.G.order >= d.G.order for _, _, child in steps):
+                    raise InvariantViolation(
+                        f"forest node {node.path_id(G.format_element)}: a child datum's carrier did not shrink")
             for rep, acc, child_datum in steps:
                 child = ForestNode(rep, None if node is top else node, node.generation + 1, acc, child_datum,
                                    node.stable or is_tau_surjective(child_datum))
@@ -123,8 +127,6 @@ def build_forest(z: ZipDatum) -> RepForest:
                 nxt.append(child)
         layer = tuple(nxt)
         generations.append(layer)
-        if len(generations) > G.order + 2:
-            raise InvariantViolation("forest construction failed to stabilize")
     flags = []
     for gen in generations:
         for node in gen:

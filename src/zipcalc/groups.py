@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import operator
 from array import array
+from collections import namedtuple
 from functools import cached_property
 from math import gcd
 
@@ -35,58 +36,6 @@ class InvariantViolation(RuntimeError):
 
 class ResourceLimitExceeded(RuntimeError):
     """A carrier would grow past the caller's order limit."""
-
-
-class Record:
-    """Base of the small immutable value types, in place of frozen
-    dataclasses, whose import and method generation a short job would pay.
-
-    A subclass names its fields in ``_fields`` (positional order, also its
-    ``__slots__``) and the defaults of trailing fields in ``_defaults``.
-    ==, hash and repr run over the fields.  Assignment raises AttributeError.
-    """
-
-    __slots__ = ()
-    _fields: tuple = ()
-    _defaults: dict = {}
-
-    def __init__(self, *args, **kwargs):
-        fields = self._fields
-        if len(args) > len(fields):
-            raise TypeError(f"{type(self).__name__} takes {len(fields)} arguments, got {len(args)}")
-        values = list(args)
-        for name in fields[len(args):]:
-            if name in kwargs:
-                values.append(kwargs.pop(name))
-            elif name in self._defaults:
-                values.append(self._defaults[name])
-            else:
-                raise TypeError(f"{type(self).__name__} missing argument {name!r}")
-        if kwargs:
-            raise TypeError(f"{type(self).__name__} got unexpected arguments {sorted(kwargs)}")
-        for name, value in zip(fields, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
-        return f"{type(self).__qualname__}({fields})"
 
 
 def _int_tuple(values, what: str) -> tuple:
@@ -794,8 +743,8 @@ def hom_from_generator_images(source: FiniteGroup, target: FiniteGroup, generato
 # ---------------------------------------------------------------------------
 
 
-class DoubleCoset(Record):
-    __slots__ = _fields = ("representative", "members")
+class DoubleCoset(namedtuple("DoubleCoset", "representative members")):
+    __slots__ = ()
 
 
 def double_cosets(ambient: FiniteGroup, left: Subgroup, right: Subgroup) -> Partition:

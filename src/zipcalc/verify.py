@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 
 from .equivalence import (
     coarsening_check,
@@ -13,7 +14,6 @@ from .equivalence import (
     zip_classes,
 )
 from .forest import build_forest, limit_bijection_check
-from .groups import Record
 from .zipdata import (
     ZipDatum,
     e_infinity_characterization_check,
@@ -27,11 +27,10 @@ from .zipdata import (
 SAMPLES = 2
 
 
-class CheckResult(Record):
+class CheckResult(namedtuple("CheckResult", "name passed detail", defaults=("",))):
     """One named cross-check: whether it passed, and an optional detail."""
 
-    __slots__ = _fields = ("name", "passed", "detail")
-    _defaults = {"detail": ""}
+    __slots__ = ()
 
 
 def run_verification(z: ZipDatum, *, seed: int = 0) -> list:

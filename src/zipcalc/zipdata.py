@@ -20,6 +20,7 @@ the tau-image, and its tau-image is the stationary G.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property
 
 from .groups import (
@@ -28,7 +29,6 @@ from .groups import (
     InputError,
     InvariantViolation,
     Partition,
-    Record,
     Subgroup,
     _mulclose,
     double_cosets,
@@ -54,12 +54,16 @@ class ZipDatum:
         self._root = self
 
     @classmethod
-    def _derive(cls, parent: "ZipDatum", G: FiniteGroup, pairs: dict) -> "ZipDatum":
+    def _derive(cls, parent: "ZipDatum", G: FiniteGroup, pairs: dict, tau_image=None) -> "ZipDatum":
+        """A datum over parent's root with carrier G and pair table pairs;
+        a tau_image given is the one its pairs define, and is kept as is."""
         d = object.__new__(cls)
         d.G = G
         d._root = parent._root
         d._parent = parent
         d._pairs = pairs
+        if tau_image is not None:
+            d.tau_image = tau_image
         return d
 
     def __repr__(self):
@@ -166,13 +170,15 @@ class ZipDatum:
 
 def twist(z: ZipDatum, x) -> ZipDatum:
     """Replace sigma by e -> x * sigma(e) * x^-1 for x in G: one conjugation
-    per value of sigma, applied to the second coordinate of every pair."""
+    per value of sigma, applied to the second coordinate of every pair.
+    First coordinates are kept, so the twist shares z's tau-image, and
+    refining any twist of z restricts to one G_1 group."""
     if x not in z.G:
         raise InputError("twist element outside G")
     G = z.G
     xinv = G.inv(x)
     conj = {b: G.mul(G.mul(x, b), xinv) for b in z.sigma_image.members}
-    return ZipDatum._derive(z, G, {r: (a, conj[b]) for r, (a, b) in z._pairs.items()})
+    return ZipDatum._derive(z, G, {r: (a, conj[b]) for r, (a, b) in z._pairs.items()}, z.tau_image)
 
 
 def refine(z: ZipDatum) -> ZipDatum:
@@ -186,18 +192,16 @@ def is_tau_surjective(z: ZipDatum) -> bool:
     return z.tau_image.members == z.G.element_set
 
 
-class RefinementTrace(Record):
+class RefinementTrace(namedtuple("RefinementTrace", "data")):
     """The refinement chain of a zip datum down to its stationary point.
 
     ``data`` holds the datum of each stage; data[0] is the input datum.
     ``stages[i]`` holds (E_i, G_i) as subgroups of the input datum's groups,
     for i = 0..stationary_index; ``e_infinity`` is the stationary E and
     ``g_infinity`` its tau-image (one step past the last stored G).  The
-    E-level subgroups are built on first use.
+    E-level subgroups are built on first use, and cached in the instance
+    ``__dict__``: the class declares no ``__slots__``.
     """
-
-    _fields = ("data",)
-    __slots__ = (*_fields, "__dict__")  # __dict__ holds the cached properties
 
     @property
     def stationary_index(self) -> int:

@@ -13,6 +13,8 @@ homomorphism of finite groups.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .groups import (
     CayleyTableGroup,
     Homomorphism,
@@ -20,7 +22,6 @@ from .groups import (
     InvariantViolation,
     MatrixGroup,
     PermutationGroup,
-    Record,
     closure,
     conjugation_hom,
     inclusion_hom,
@@ -42,19 +43,18 @@ def _is_prime(n: int) -> bool:
     )
 
 
-class WittZipConfig(Record):
+class WittZipConfig(namedtuple("WittZipConfig", "p n")):
     """Parameters of the truncated Witt model: a prime p and a level n >= 2."""
 
-    __slots__ = _fields = ("p", "n")
+    __slots__ = ()
 
     def __init__(self, p, n):
-        super().__init__(p, n)
-        if self.p.bit_length() > 64 or self.n > 64:
+        if p.bit_length() > 64 or n > 64:
             raise InputError("Witt parameters too large to enumerate")
-        if not _is_prime(self.p):
-            raise InputError(f"p must be prime, got {self.p}")
-        if self.n < 2:
-            raise InputError(f"truncation level must be at least 2, got {self.n}")
+        if not _is_prime(p):
+            raise InputError(f"p must be prime, got {p}")
+        if n < 2:
+            raise InputError(f"truncation level must be at least 2, got {n}")
 
     @property
     def e_order(self) -> int:

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import pytest
 
+import zipcalc.forest
 from zipcalc import (
     InputError,
+    InvariantViolation,
     WittZipConfig,
     build_forest,
     build_witt_zip,
@@ -14,6 +16,7 @@ from zipcalc import (
     refinement_bijection_check,
     twist,
     zip_classes,
+    zoo_entry,
 )
 
 
@@ -92,6 +95,16 @@ def test_node_data_equal_their_definition_from_the_root(zoo, witt22, witt23, wit
         coarse = zip_classes(z)
         for root in forest.roots:
             assert refinement_bijection_check(z, root.element, coarse=coarse), (name, root.element)
+
+
+@pytest.mark.parametrize("entry", ["s3-mixed", "s4-cycle-pair"])
+def test_a_child_datum_that_does_not_shrink_is_an_error(monkeypatch, entry):
+    # without refinement an unstable node's children keep its carrier; the
+    # first unstable node below the top is named at once, not after the
+    # forest has grown generation by generation
+    monkeypatch.setattr(zipcalc.forest, "refine", lambda d: d)
+    with pytest.raises(InvariantViolation, match=r"^forest node [^/ ]+: a child datum's carrier did not shrink$"):
+        build_forest(zoo_entry(entry))
 
 
 def test_classify_identity_path(zoo):

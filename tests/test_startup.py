@@ -217,8 +217,8 @@ def twin(cls):
     specs = []
     for name in cls._fields:
         kwargs = {}
-        if name in cls._defaults:
-            kwargs["default"] = cls._defaults[name]
+        if name in cls._field_defaults:
+            kwargs["default"] = cls._field_defaults[name]
         specs.append((name, object, dataclasses.field(**kwargs)))
     return dataclasses.make_dataclass(cls.__name__, specs, frozen=True)
 

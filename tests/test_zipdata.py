@@ -79,6 +79,14 @@ def test_twist_composes_like_conjugation(witt22, data):
     assert same_carriers_and_tables(twist(twist(z, x), G.inv(x)), z)
 
 
+def test_twists_share_the_refined_carrier(zoo):
+    # twisting keeps first coordinates, so every twist refines to one G_1 group
+    for name, z in zoo.items():
+        G1 = refine(z).G
+        for x in z.G.elements:
+            assert refine(twist(z, x)).G is G1, (name, x)
+
+
 def test_twist_witt_antidiagonal_formula(witt23):
     z, x = witt23
     zx = twist(z, x)

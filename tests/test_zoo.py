@@ -37,6 +37,14 @@ def test_config_rejects_small_level():
         WittZipConfig(2, 1)
 
 
+def test_config_validates_keyword_arguments():
+    assert WittZipConfig(p=3, n=2) == WittZipConfig(3, 2)
+    with pytest.raises(InputError, match="prime"):
+        WittZipConfig(p=4, n=2)
+    with pytest.raises(InputError, match="at least 2"):
+        WittZipConfig(n=1, p=2)
+
+
 def test_witt22_orders(witt22):
     z, x = witt22
     assert z.G.order == 6
