@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from array import array
 from collections import namedtuple
 from functools import cached_property
 from math import gcd
@@ -69,9 +68,9 @@ def _mulclose(mul, identity, candidates, carrier=None, limit=None):
     key-minimal when the candidates come in key order.  In a finite group
     the submonoid generated this way is the subgroup.  Adding x to the
     closure H grows <H, x> one right coset H*y at a time.  With a carrier,
-    the first product outside it raises InputError; with a limit, a coset
-    that would take the closure past it raises ResourceLimitExceeded before
-    it is computed.
+    any container, the first product outside it raises InputError; with a
+    limit, a coset that would take the closure past it raises
+    ResourceLimitExceeded before it is computed.
 
     Returns (closure, generators).
     """
@@ -92,11 +91,46 @@ def _mulclose(mul, identity, candidates, carrier=None, limit=None):
                     # the coset H*y is disjoint from the closure so far
                     raise ResourceLimitExceeded(f"carrier order at least {len(members) + len(old)}")
                 coset = [mul(h, y) for h in old]
-                if carrier is not None and not carrier.issuperset(coset):
+                if carrier is not None and not all(map(carrier.__contains__, coset)):
                     raise InputError("carrier is not closed under multiplication")
                 members.update(coset)
                 reps.append(y)
     return members, tuple(gens)
+
+
+def _graph(source, targets, points, carrier=None, limit=None):
+    """The tables of the homomorphisms whose graph the points generate; an
+    InputError when they generate no graph.
+
+    Each point is (s, t_1, ..., t_k), s in source and t_i in targets[i-1],
+    k = 1 or 2, and the points generate a subgroup H of source x targets.
+    When no two elements of H share a first coordinate, H is the graph of
+    s -> (f_1(s), ..., f_k(s)) on the subgroup of source that the first
+    coordinates generate, and each f_i is a homomorphism there: H holds
+    the product (a, f(a))(b, f(b)) = (ab, f(a)f(b)), so f(ab) = f(a)f(b)
+    (Holt, Eick and O'Brien).  A graph has at most |source| elements, so
+    with a limit of |source| a closure that would outgrow it is none.  Every
+    f_i(s) in the tables is the target's own element value, so tables over
+    a large source share them.  carrier is _mulclose's.
+    """
+    smul = source.mul
+    muls = [lambda a, b, mul=t.mul, own=dict(zip(t.elements, t.elements)): own[mul(a, b)] for t in targets]
+    m1, m2 = muls[0], muls[-1]
+    if len(muls) == 1:
+        mul = lambda x, y: (smul(x[0], y[0]), m1(x[1], y[1]))
+    else:
+        mul = lambda x, y: (smul(x[0], y[0]), m1(x[1], y[1]), m2(x[2], y[2]))
+    identity = (source.identity, *(t.identity for t in targets))
+    try:
+        members = _mulclose(mul, identity, points, carrier, limit)[0]
+        tables = [{x[0]: x[i] for x in members} for i in range(1, len(identity))]
+        if len(tables[0]) == len(members):
+            return tables
+    except ResourceLimitExceeded:
+        pass
+    except KeyError:  # a target carrier that restrict took without a certificate
+        raise InputError("a product of images lies outside the target carrier") from None
+    raise InputError("generator images are inconsistent with the group relations")
 
 
 def _orbit(seeds, moves) -> set:
@@ -271,20 +305,6 @@ class FiniteGroup:
         closure of S stays inside the carrier and covers it.
         """
         return _mulclose(self.mul, self.identity, self.elements, self.element_set)[1]
-
-    @cached_property
-    def _generator_columns(self) -> tuple:
-        """Per generator s, the carrier index of a*s for each a in key order.
-
-        Computed once per group, so every homomorphism check on this source
-        reuses the |carrier|*|S| products; unsigned arrays keep them at four
-        bytes an entry for the life of the group.
-        """
-        index = {a: i for i, a in enumerate(self.elements)}
-        return tuple(
-            array("I", map(index.__getitem__, map(self.mul, self.elements, itertools.repeat(s))))
-            for s in self.generators
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -641,44 +661,44 @@ def closure(ambient: FiniteGroup, generators) -> Subgroup:
 class Homomorphism:
     """A group homomorphism materialized as a full element table.
 
-    The table is validated at construction time: totality, identity and the
-    multiplicative law, certified exactly as f(a*s) = f(a)*f(s) for every a
-    in the source and every s in its greedy generating set.  Preimage
-    queries are then plain set scans.
+    The table is certified at construction time: it covers the source, lands
+    in the target and sends 1 to 1, and its graph {(a, f(a))} is a subgroup
+    of source x target.  The graph certificate closes the points (s, f(s))
+    for s in the source's greedy generating set S with the graph as carrier:
+    the closure projects onto the source, so it is the whole graph unless a
+    product leaves it first (see ``_graph``).  Preimage queries are then
+    plain set scans.
     """
 
     def __init__(self, source: FiniteGroup, target: FiniteGroup, table: dict):
-        if set(table) != source.element_set:
+        if table.keys() != source.element_set:
             raise InputError("homomorphism table must cover the source carrier exactly")
-        for img in table.values():
-            if img not in target:
-                raise InputError("homomorphism image outside the target carrier")
-        self.source = source
-        self.target = target
-        self.table = dict(table)
-        self._check_structure()
+        if not target.element_set.issuperset(table.values()):
+            raise InputError("homomorphism image outside the target carrier")
+        if table[source.identity] != target.identity:
+            raise InputError("map does not send identity to identity")
+        gens, mul, fmt = source.generators, source.mul, source.format_element
+        try:
+            _graph(source, [target], [(s, table[s]) for s in gens], table.items())
+        except InputError:
+            a, s = next((a, s) for s in gens for a in source if table[mul(a, s)] != target.mul(table[a], table[s]))
+            raise InputError(f"map is not multiplicative at ({fmt(a)}, {fmt(s)})") from None
+        self.source, self.target, self.table = source, target, dict(table)
+
+    @classmethod
+    def _certified(cls, source: FiniteGroup, target: FiniteGroup, table: dict) -> "Homomorphism":
+        """The homomorphism whose table a graph closure has just certified;
+        as ``FiniteGroup.restrict`` is for groups, the one path that runs no
+        certificate of its own."""
+        h = object.__new__(cls)
+        h.source, h.target, h.table = source, target, table
+        return h
 
     def __call__(self, e):
         return self.table[e]
 
     def __repr__(self):
         return f"<Homomorphism {self.source!r} -> {self.target!r}>"
-
-    def _check_structure(self):
-        src, tab = self.source, self.table
-        if tab[src.identity] != self.target.identity:
-            raise InputError("map does not send identity to identity")
-        images = list(map(tab.__getitem__, src.elements))
-        values = set(images)
-        for s, column in zip(src.generators, src._generator_columns):
-            # f(a*s) against f(a)*f(s), with one target product per image value
-            times_fs = {g: self.target.mul(g, tab[s]) for g in values}
-            if list(map(images.__getitem__, column)) != list(map(times_fs.__getitem__, images)):
-                a = next(a for a, i in zip(src.elements, column) if images[i] != times_fs[tab[a]])
-                raise InputError(
-                    f"map is not multiplicative at ({src.format_element(a)}, "
-                    f"{src.format_element(s)})"
-                )
 
     def image(self) -> Subgroup:
         """The image of the source, a subgroup of the target."""
@@ -710,32 +730,24 @@ def conjugation_hom(group: FiniteGroup, x) -> Homomorphism:
 
 
 def hom_from_generator_images(source: FiniteGroup, target: FiniteGroup, generators, images) -> Homomorphism:
-    """The homomorphism sending each generator to its image.  The images are
-    extended along the generators from f(1) = 1 by f(a*g) = f(a)*image(g):
-    they are inconsistent when this gives one element two values, and
-    define a map on the source when every element is reached.  That map then
-    carries the table certificate."""
-    generators = list(generators)
-    images = list(images)
+    """The homomorphism sending each generator to its image, certified by one
+    graph closure: the points (generator, image) generate a subgroup of
+    source x target.  The images are inconsistent with the group relations
+    when two of its elements share a first coordinate, which is certain once
+    it outgrows the source, and the generators do not generate the source
+    when its first coordinates miss an element.  Otherwise it is the graph
+    of the homomorphism (see ``_graph``)."""
+    generators, images = list(generators), list(images)
     if len(generators) != len(images):
         raise InputError("generator and image lists differ in length")
     if not source.element_set.issuperset(generators):
         raise InputError("hom generator outside the source carrier")
     if not target.element_set.issuperset(images):
         raise InputError("hom image outside the target carrier")
-    table = {source.identity: target.identity}
-    reached = [source.identity]
-    for a in reached:  # grows while it is walked
-        for g, im in zip(generators, images):
-            b, value = source.mul(a, g), target.mul(table[a], im)
-            if b not in table:
-                table[b] = value
-                reached.append(b)
-            elif table[b] != value:
-                raise InputError("generator images are inconsistent with the group relations")
+    (table,) = _graph(source, [target], zip(generators, images), limit=source.order)
     if len(table) != source.order:
         raise InputError("generators do not generate the source group")
-    return Homomorphism(source, target, table)
+    return Homomorphism._certified(source, target, table)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .groups import (
     InvariantViolation,
     MatrixGroup,
     PermutationGroup,
+    _graph,
     closure,
     conjugation_hom,
     inclusion_hom,
@@ -106,22 +107,32 @@ def build_witt_zip(config: WittZipConfig) -> tuple:
     and lower unipotents [1,1,0,1] and [1,0,p,1] and the diagonal units
     diag(u, 1), diag(1, u): over the local ring Z/p^n a matrix with
     lower-left entry in pZ has unit diagonal entries, so it factors as
-    lower unipotent * diagonal * upper unipotent.  Construction validates
-    that the divided conjugation is a well-defined homomorphism.
+    lower unipotent * diagonal * upper unipotent.
+
+    One graph closure builds and certifies E, tau and sigma: the triples
+    (g, tau(g), sigma(g)) of these generators, their images read off the
+    two formulas, generate a subgroup of E x G x G.  Its elements have
+    distinct first coordinates, so it is the graph of e -> (tau(e), sigma(e))
+    and both maps are homomorphisms on E, its first coordinates.  The
+    tables of witt_tau_table and witt_sigma_table must equal the two maps
+    on all of E, so the divided conjugation is a well-defined homomorphism.
     """
     p, n = config.p, config.n
     pn = p**n
     m = p ** (n - 1)
     units = [u for u in range(1, pn) if u % p]
-    E = MatrixGroup.from_generators(
-        2, pn, [(1, 1, 0, 1), (1, 0, p, 1)] + [(u, 0, 0, 1) for u in units] + [(1, 0, 0, u) for u in units]
-    )
+    gens = [(1, 1, 0, 1), (1, 0, p, 1)] + [(u, 0, 0, 1) for u in units] + [(1, 0, 0, u) for u in units]
+    # each generator g as the point (g, tau(g), sigma(g)), read off the formulas
+    points = [(g, tuple(v % m for v in g), (g[0] % m, p * g[1] % m, g[2] // p % m, g[3] % m)) for g in gens]
+    ambient = MatrixGroup(2, pn, [(1, 0, 0, 1)])
+    G = MatrixGroup.general_linear(2, m)
+    tau, sigma = _graph(ambient, [G, G], points)
+    E = ambient.restrict(tau)
     if E.order != config.e_order:
         raise InvariantViolation(f"Witt E has order {E.order}, expected {config.e_order}")
-    G = MatrixGroup.general_linear(2, m)
-    tau = Homomorphism(E, G, witt_tau_table(E, G))
-    sigma = Homomorphism(E, G, witt_sigma_table(E, G, p))
-    return ZipDatum(E, G, tau, sigma), (0, 1, 1, 0)
+    if tau != witt_tau_table(E, G) or sigma != witt_sigma_table(E, G, p):
+        raise InputError("the Witt formulas differ from the homomorphisms their generator images define")
+    return ZipDatum(E, G, Homomorphism._certified(E, G, tau), Homomorphism._certified(E, G, sigma)), (0, 1, 1, 0)
 
 
 def _subgroup_datum(G, generators, tau=inclusion_hom, sigma=inclusion_hom) -> ZipDatum:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from zipcalc import groups
 from zipcalc import (
     CayleyTableGroup,
     Homomorphism,
@@ -279,8 +280,11 @@ def test_hom_rejects_partial_table(s3):
 def test_hom_rejects_non_multiplicative_table(s3):
     table = {a: a for a in s3}
     table[(1, 0, 2)] = (1, 2, 0)
-    with pytest.raises(InputError):
+    # the pair is searched for after the graph certificate fails: the
+    # key-first a for the first generator s with f(a*s) != f(a)*f(s)
+    with pytest.raises(InputError) as failure:
         Homomorphism(s3, s3, table)
+    assert str(failure.value) == "map is not multiplicative at ((0 1), (1 2))"
 
 
 def test_hom_takes_no_switch_past_its_certificate(s3):
@@ -309,6 +313,33 @@ def test_constructed_homs_pass_the_naive_oracle(zoo):
 def test_hom_from_generator_images(s3):
     h = hom_from_generator_images(s3, s3, [(1, 0, 2), (1, 2, 0)], [(1, 0, 2), (1, 2, 0)])
     assert h.table == inclusion_hom(s3, s3).table
+
+
+def test_hom_from_generator_images_runs_one_closure(s3, monkeypatch):
+    # the graph closure is the certificate: no extension walk before it and
+    # no table certificate after it
+    mulclose = groups._mulclose
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return mulclose(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "_mulclose", counted)
+    h = hom_from_generator_images(s3, s3, [(1, 0, 2), (1, 2, 0)], [(1, 0, 2), (1, 2, 0)])
+    assert len(calls) == 1
+    assert h.table == {a: a for a in s3}
+
+
+def test_a_target_that_is_no_group_is_an_input_error(s3):
+    # as_group() restricts any member set; this one is not closed, and the
+    # images of the two generators of C2 x C2 multiply to a 3-cycle outside it
+    target = Subgroup(s3, [(0, 1, 2), (1, 0, 2), (0, 2, 1)]).as_group()
+    v4 = CayleyTableGroup(xor_table(2))
+    with pytest.raises(InputError, match=r"^map is not multiplicative at \(2, 1\)$"):
+        Homomorphism(v4, target, {0: (0, 1, 2), 1: (1, 0, 2), 2: (0, 2, 1), 3: (0, 1, 2)})
+    with pytest.raises(InputError):
+        hom_from_generator_images(v4, target, [1, 2], [(1, 0, 2), (0, 2, 1)])
 
 
 def test_hom_from_generator_images_inconsistent(s3):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 import oracles
@@ -15,6 +17,7 @@ from zipcalc import (
     zip_classes,
     zoo_entry,
 )
+from zipcalc import cli, zoo
 
 
 def test_config_rejects_composite_p():
@@ -69,6 +72,42 @@ def test_witt_e_order_is_checked_against_the_closed_form(monkeypatch):
     monkeypatch.setattr(WittZipConfig, "e_order", property(lambda self: 31))
     with pytest.raises(InvariantViolation, match="Witt E has order 32, expected 31"):
         build_witt_zip(WittZipConfig(2, 2))
+
+
+@pytest.mark.parametrize("formula", ["witt_tau_table", "witt_sigma_table"])
+def test_a_wrong_witt_formula_fails_the_build(monkeypatch, tmp_path, capsys, formula):
+    right = getattr(zoo, formula)
+
+    def wrong(E, G, *args):
+        table = right(E, G, *args)
+        e = E.elements[-1]  # [7,7,6,7] on witt-p2-n3, no generator of E
+        table[e] = next(g for g in G.elements if g != table[e])
+        return table
+
+    monkeypatch.setattr(zoo, formula, wrong)
+    with pytest.raises(InputError):
+        build_witt_zip(WittZipConfig(2, 3))
+    config = tmp_path / "witt23.json"
+    config.write_text(json.dumps({"preset": {"kind": "witt", "p": 2, "n": 3}}), encoding="utf-8")
+    assert cli.main(["--config", str(config), "--command", "classes"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {config}.preset: ")
+
+
+def test_witt_build_makes_at_most_four_products_per_element(monkeypatch):
+    # one closure of the triples (e, tau(e), sigma(e)) makes about three
+    # matrix products per element of E, and the table checks make none
+    config = WittZipConfig(2, 4)
+    mul = MatrixGroup.mul
+    calls = 0
+
+    def counted(self, a, b):
+        nonlocal calls
+        calls += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(MatrixGroup, "mul", counted)
+    build_witt_zip(config)
+    assert calls <= 4 * config.e_order == 32768
 
 
 def test_witt_sigma_fixes_identity(witt22, witt23):
