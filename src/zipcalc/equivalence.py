@@ -23,7 +23,10 @@ orbit, and no point of P x G_inf^x is visited.  The groupoid check maps
 pairs to pairs, both sides sharing the root's K, and tests equivariance at 1
 and at the generators of G_1 only: for each pair, the g where it holds form
 a centralizer, a subgroup (Holt, Eick and O'Brien, ch. 4).
-Elements of E appear only where a check is stated on them.
+Elements of E appear only as witnesses: those a check is given, and the
+key-minimal element of each root fiber that the groupoid check conjugates.
+Every set of E's elements a check compares is a union of fibers, so it is
+compared as a set of root pairs, and no subset of E is built.
 """
 
 from __future__ import annotations
@@ -34,11 +37,13 @@ from .groups import InputError, Partition, _orbit, _partition
 from .zipdata import ZipDatum, refine, refine_to_stationary, twist
 
 
-class ZipClass(namedtuple("ZipClass", "witness members e_infinity g_infinity")):
+class ZipClass(namedtuple("ZipClass", "witness members trace")):
     """One equivalence class: key-minimal witness, members, per-witness data.
 
+    ``trace`` is the refinement trace of the witness's twist, whose
     ``e_infinity`` and ``g_infinity`` are the witness's stationary subgroups
-    (None for fine orbits).
+    (None for fine orbits).  Its E-level subgroup is built only when read,
+    by a report that prints its digest.
     """
 
     __slots__ = ()
@@ -78,21 +83,21 @@ def _class_moves(z: ZipDatum) -> list:
 def fine_orbits(z: ZipDatum) -> ClassReport:
     """Orbits of e.g = tau(e) * g * sigma(e)^-1 on the carrier of G."""
     moves = _class_moves(z)
-    orbits = _partition(z.G.elements, lambda x: ZipClass(x, frozenset(_orbit([x], moves)), None, None))
+    orbits = _partition(z.G.elements, lambda x: ZipClass(x, frozenset(_orbit([x], moves)), None))
     return ClassReport(z, "fine-orbit", orbits)
 
 
 def zip_classes(z: ZipDatum) -> ClassReport:
     """The coarse partition of G, one stationary-refinement run per witness:
     the class of x is { tau(e) * g * x * sigma(e)^-1 : e in E, g in G_inf^x },
-    the orbit of G_inf^x * x under the pair group."""
+    the orbit of G_inf^x * x under the pair group.  Each class keeps its
+    witness's trace; no subset of E is built."""
     moves = _class_moves(z)
 
     def coarse(x):
         trace = refine_to_stationary(twist(z, x))
-        ginf = trace.g_infinity
-        members = frozenset(_orbit([z.G.mul(g, x) for g in ginf.members], moves))
-        return ZipClass(x, members, trace.e_infinity, ginf)
+        seeds = [z.G.mul(g, x) for g in trace.g_infinity.members]
+        return ZipClass(x, frozenset(_orbit(seeds, moves)), trace)
 
     return ClassReport(z, "zip-coarse", _partition(z.G.elements, coarse))
 
@@ -141,8 +146,8 @@ def torsor_check(z: ZipDatum, x, *, report: ClassReport) -> bool:
     (u, w) are one element's pairs in z and its x-twist.
 
     The check has two parts, and visits no point of P x G_inf^x.
-    (1) Each stationary pair (u, w, eps) of the x-twist has w in G_inf^x and
-        w = x*v*x^-1, where v = sigma(eps) is read from z's pair table.
+    (1) Each stationary pair (u, w) of the x-twist has w in G_inf^x and
+        w = x*v*x^-1, where (u, v) is z's pair under the same root pair.
     (2) The image, the orbit of G_inf^x * x under P walked over its
         generators, is the class of x in ``report``, and
         |image| * |P_inf^x| = |P| * |G_inf^x|.
@@ -183,9 +188,9 @@ def torsor_check(z: ZipDatum, x, *, report: ClassReport) -> bool:
         raise InputError("report belongs to a different zip datum")
     trace = refine_to_stationary(twist(z, x))
     ginf, xinv = trace.g_infinity, G.inv(x)
-    stationary_pairs = trace.stationary_datum.action_pairs
-    for _, w, eps in stationary_pairs:
-        if w not in ginf.members or w != G.mul(G.mul(x, z.pair_of(eps)[1]), xinv):
+    stationary_pairs = trace.stationary_datum._pairs
+    for r, (_, w) in stationary_pairs.items():
+        if w not in ginf.members or w != G.mul(G.mul(x, z._pairs[r][1]), xinv):
             return False
 
     image = _orbit([G.mul(g, x) for g in ginf.members], _class_moves(z))
@@ -205,7 +210,19 @@ def groupoid_equivalence_check(z: ZipDatum, x, y, e, e_tilde) -> bool:
     every pair p and every g in G_1, tested at g = 1 and at the generators
     of G_1.
 
-    Those probes suffice.  Write psi_g(g) = T*g*S, with T = tau(e~)^-1 and
+    The E side is decided on root pairs.  Both twists share z's root, so
+    the same K = ker tau ∩ ker sigma, and each E side is the union of the
+    root fibers of its pairs.  As tau and sigma are homomorphisms, K is
+    normal and conjugation by e~ maps a fiber onto a fiber, so
+    ZipDatum._conjugation_onto maps each root pair of the x side to the
+    root pair of its key-minimal witness's conjugate, |P| products, and
+    the conjugate of the x side's E is the y side's exactly when that map
+    is onto the y side's pairs.  Its being one to one as well is the
+    bijectivity of psi_pair, which reads the two pair tables along it.  On
+    tables that are not homomorphisms only the witnesses are conjugated, so
+    the check can pass where the E-level statement fails.
+
+    The probes suffice.  Write psi_g(g) = T*g*S, with T = tau(e~)^-1 and
     S = x*sigma(e~)*y^-1; a pair p acts by p.g = p0*g*p1.  For
     q = psi_pair(p) the equation at g reads m_p*g = g*n_p, where
     m_p = T^-1*q0^-1*T*p0 and n_p = S*q1*(p1*S)^-1.  At g = 1 it gives
@@ -224,41 +241,33 @@ def groupoid_equivalence_check(z: ZipDatum, x, y, e, e_tilde) -> bool:
     psi_pair of a word in the x-side pairs, so onto it.  On zip data
     psi_pair(a, b) = (t^-1 * a * t, c * b * c^-1) with t = tau(e~) and
     c = tau(e), a bijection, so this check agrees with the one that scans
-    orbits and stabilizers; on tables that are not homomorphisms it is at
-    least as strict.  Both sides have the same root, so the same
-    K = ker tau ∩ ker sigma, and the E sides are read off the pair tables.
+    orbits and stabilizers.  The witnesses' pairs are read off z's pair
+    table.
     """
-    G, E = z.G, z.E
-    for el, group, what in ((x, G, "x"), (y, G, "y")):
-        if el not in group:
+    G = z.G
+    for el, what in ((x, "x"), (y, "y")):
+        if el not in G:
             raise InputError(f"precondition failed: {what} is not in G")
-    if e not in E or e_tilde not in E:
+    pe, pet = z.pair_of(e), z.pair_of(e_tilde)
+    if pe is None or pet is None:
         raise InputError("precondition failed: witnesses are not in E")
-    if y != G.mul(G.mul(z.tau(e), x), z.sigma(e_tilde)):
+    if y != G.mul(G.mul(pe[0], x), pet[1]):
         raise InputError("precondition failed: y != tau(e) * x * sigma(e~)")
 
-    zx1 = refine(twist(z, x))
-    zy1 = refine(twist(z, y))
-
-    et_inv = E.inv(e_tilde)
-    psi_e = {eps: E.mul(E.mul(et_inv, eps), e_tilde) for eps in zx1._e_members}
-    shift = G.mul(G.mul(x, z.sigma(e_tilde)), G.inv(y))
-    t_et_inv = G.inv(z.tau(e_tilde))
-    psi_g = {g: G.mul(G.mul(t_et_inv, g), shift) for g in zx1.G}
-
-    if frozenset(psi_e.values()) != zy1._e_members:
+    zx1, zy1 = refine(twist(z, x)), refine(twist(z, y))
+    root_pairs = zx1._conjugation_onto(zy1, e_tilde)
+    if root_pairs is None:
         return False
+    shift = G.mul(G.mul(x, pet[1]), G.inv(y))
+    t_et_inv = G.inv(pet[0])
+    psi_g = {g: G.mul(G.mul(t_et_inv, g), shift) for g in zx1.G}
     if frozenset(psi_g.values()) != zy1.G.element_set:
         return False
 
     def with_inverse(a, b):  # pairs are stored as (a, b^-1): act inverts nothing
         return a, G.inv(b)
 
-    # psi_e on one witness per pair of zx1, as a map of pairs
-    psi_pair = {with_inverse(a, b): with_inverse(*zy1.pair_of(psi_e[w])) for a, b, w in zx1.action_pairs}
-    images = set(psi_pair.values())
-    if len(images) != len(psi_pair) or images != {with_inverse(a, b) for a, b, _ in zy1.action_pairs}:
-        return False
+    psi_pair = {with_inverse(*zx1._pairs[r]): with_inverse(*zy1._pairs[s]) for r, s in root_pairs.items()}
 
     def act(pair, g):
         return G.mul(G.mul(pair[0], g), pair[1])

@@ -50,11 +50,11 @@ def class_report_document(name: str, report: ClassReport) -> dict:
             "size": c.size,
             "members": [fmt(m) for m in sorted(c.members)],
         }
-        if c.e_infinity is not None:
-            entry["e_infinity_order"] = c.e_infinity.order
-            entry["e_infinity_digest"] = members_digest(z.E, c.e_infinity.members)
-            entry["g_infinity_order"] = c.g_infinity.order
-            entry["g_infinity"] = [fmt(m) for m in c.g_infinity.elements]
+        if c.trace is not None:
+            entry["e_infinity_order"] = c.trace.e_infinity.order
+            entry["e_infinity_digest"] = members_digest(z.E, c.trace.e_infinity.members)
+            entry["g_infinity_order"] = c.trace.g_infinity.order
+            entry["g_infinity"] = [fmt(m) for m in c.trace.g_infinity.elements]
         classes.append(entry)
     return {
         "schema_version": SCHEMA_VERSION,

@@ -86,6 +86,8 @@ class ZipDatum:
 
     @cached_property
     def _e_members(self) -> frozenset:
+        """This datum's E as a set: the union of its root fibers.  Read by E
+        and by a trace's E-level subgroups, for reports and oracles only."""
         fibers = self._root._fibers
         return frozenset(e for r in self._pairs for e in fibers[r])
 
@@ -95,6 +97,25 @@ class ZipDatum:
         if e not in root.E:
             return None
         return self._pairs.get((root.tau.table[e], root.sigma.table[e]))
+
+    def _conjugation_onto(self, other: "ZipDatum", et):
+        """Root pair r of this datum -> the root pair of et^-1 * w * et, w the
+        key-minimal witness of r, if this maps the pairs of this datum one to
+        one onto those of other, a datum over the same root; else None.
+
+        |P| products.  Conjugation by et is an automorphism of E, and K is
+        normal in E because tau and sigma are homomorphisms, so it maps the
+        fiber w*K of r onto the fiber (et^-1 * w * et)*K of r's image.  Hence
+        the et^-1-conjugate of this datum's E, a union of fibers, is other's
+        E exactly when the image is other's pair set, and on zip data the map
+        is one to one: conjugation induces an automorphism of E/K = P.
+        """
+        root = self._root
+        E, fibers = root.E, root._fibers
+        et_inv = E.inv(et)
+        image = {r: root.pair_of(E.mul(E.mul(et_inv, fibers[r][0]), et)) for r in self._pairs}
+        values = set(image.values())
+        return image if len(values) == len(image) and values == other._pairs.keys() else None
 
     @cached_property
     def tau_image(self) -> Subgroup:
@@ -251,16 +272,21 @@ def e_infinity_characterization_check(z: ZipDatum, trace: RefinementTrace) -> bo
     pairs.
 
     Compares the trace's stationary subgroup with
-    { e in E : sigma(e) in G_inf * tau(e) * G_inf }, deciding membership once
-    per (tau, sigma)-pair since both sides are unions of pair fibers.
-    sigma(e) lies in G_inf * tau(e) * G_inf exactly when the two share a
-    (G_inf, G_inf) double coset, so one double-coset partition of G answers
-    every pair.  No refinement code is used.
+    { e in E : sigma(e) in G_inf * tau(e) * G_inf }.  Both sides are unions
+    of root fibers, which are disjoint and non-empty: the description holds
+    on all of a fiber or on none of it, and the stationary E is the union of
+    the fibers of the stationary datum's pairs.  So the sets are equal
+    exactly when the root pairs that qualify are the stationary datum's,
+    for any tables, and no element of E is visited.  sigma(e) lies in
+    G_inf * tau(e) * G_inf exactly when the two share a (G_inf, G_inf)
+    double coset, so one double-coset partition of G answers every pair.
+    No refinement code is used.  The trace must be one of a datum over z's
+    root, such as z or a twist of z.
     """
+    if trace.stationary_datum._root is not z._root:
+        raise InputError("trace belongs to a datum over another root")
     rep_of = double_cosets(z.G, trace.g_infinity, trace.g_infinity).rep_of
-    fibers = z._root._fibers
-    described = frozenset(e for r, (a, b) in z._pairs.items() if rep_of[a] == rep_of[b] for e in fibers[r])
-    return described == trace.e_infinity.members
+    return {r for r, (a, b) in z._pairs.items() if rep_of[a] == rep_of[b]} == trace.stationary_datum._pairs.keys()
 
 
 def twist_refine_identity_check(z: ZipDatum, x, y, *, witnesses=None) -> bool:
@@ -273,12 +299,18 @@ def twist_refine_identity_check(z: ZipDatum, x, y, *, witnesses=None) -> bool:
 
     With witnesses (e, et) such that y = tau(e)*x*sigma(et): the refined
     y-twist's E must be the et^-1-conjugate of the refined x-twist's E.
+    Both are unions of root fibers, and since tau and sigma are
+    homomorphisms the conjugate of a fiber is a fiber, so the check maps the
+    refined x-twist's root pairs by ZipDatum._conjugation_onto, one product
+    per pair, and builds no subset of E.  On tables that are not
+    homomorphisms a fiber need not be a coset of K, and the verdict can
+    differ from the E-level statement either way.  The witnesses' pairs are
+    read off z's pair table.
     """
     G = z.G
-    if x not in G:
-        raise InputError("precondition failed: x is not in G")
-    if y not in G:
-        raise InputError("precondition failed: y is not in G")
+    for el, what in ((x, "x"), (y, "y")):
+        if el not in G:
+            raise InputError(f"precondition failed: {what} is not in G")
     if witnesses is None:
         if y not in z.tau_image.members:
             raise InputError("precondition failed: y is not in the image of tau")
@@ -286,11 +318,9 @@ def twist_refine_identity_check(z: ZipDatum, x, y, *, witnesses=None) -> bool:
         rhs = twist(refine(twist(z, x)), y)
         return lhs._pairs == rhs._pairs and lhs.G.element_set == rhs.G.element_set
     e, et = witnesses
-    if e not in z.E or et not in z.E:
+    pe, pet = z.pair_of(e), z.pair_of(et)
+    if pe is None or pet is None:
         raise InputError("precondition failed: witnesses are not in E")
-    if y != G.mul(G.mul(z.tau(e), x), z.sigma(et)):
+    if y != G.mul(G.mul(pe[0], x), pet[1]):
         raise InputError("precondition failed: y != tau(e) * x * sigma(et)")
-    E = z.E
-    et_inv = E.inv(et)
-    conjugated = frozenset(E.mul(E.mul(et_inv, h), et) for h in refine(twist(z, x))._e_members)
-    return refine(twist(z, y))._e_members == conjugated
+    return refine(twist(z, x))._conjugation_onto(refine(twist(z, y)), et) is not None

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from zipcalc import (
     inclusion_hom,
     refine_to_stationary,
     refinement_bijection_check,
+    run_verification,
     torsor_check,
     twist,
     zip_classes,
@@ -102,7 +104,7 @@ def test_zip_classes_member_witnesses_reproduce_members(zoo, witt22):
         G = z.G
         for report in (fine_orbits(z), zip_classes(z)):
             for c in report.classes:
-                allowed = c.g_infinity.members if c.g_infinity is not None else {G.identity}
+                allowed = c.trace.g_infinity.members if c.trace is not None else {G.identity}
                 for y in c.members:
                     assert oracles.naive_class_witness(z, c.witness, allowed, y) is not None, (name, report.relation)
 
@@ -113,8 +115,8 @@ def test_witness_conjugation_identity(witt22):
     report = zip_classes(z)
     for c in report.classes:
         for y in sorted(c.members)[:4]:
-            e, _ = oracles.naive_class_witness(z, c.witness, c.g_infinity.members, y)
-            einf_y = oracles.naive_conjugate(z.E, c.e_infinity.members, e)
+            e, _ = oracles.naive_class_witness(z, c.witness, c.trace.g_infinity.members, y)
+            einf_y = oracles.naive_conjugate(z.E, c.trace.e_infinity.members, e)
             trace = refine_to_stationary(twist(z, y))
             assert einf_y == trace.e_infinity.members
             assert frozenset(map(z.tau, einf_y)) == trace.g_infinity.members
@@ -350,6 +352,44 @@ def test_groupoid_check_matches_naive_oracle_on_zip_data(zoo, witt22, witt23):
                 y = G.mul(G.mul(z.tau(e), x), z.sigma(et))
                 expected = oracles.naive_groupoid_equivalence_check(z, x, y, e, et)
                 assert groupoid_equivalence_check(z, x, y, e, et) == expected, (name, x, e, et)
+
+
+# -- verify stays on root pairs ----------------------------------------------------
+
+
+@pytest.fixture
+def e_member_builds(monkeypatch):
+    """Counts the builds of ZipDatum._e_members, the set of a datum's E."""
+    builds = []
+    members = ZipDatum._e_members.func
+
+    def counted(self):
+        builds.append(self)
+        return members(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(ZipDatum, "_e_members")
+    monkeypatch.setattr(ZipDatum, "_e_members", prop)
+    return builds
+
+
+def test_verify_and_classes_build_no_subset_of_e(e_member_builds):
+    # a fresh datum, so that no cached member set from another test hides a build
+    z, x = build_witt_zip(WittZipConfig(2, 3))
+    assert all(r.passed for r in run_verification(z))
+    assert all(r.passed for r in run_verification(twist(z, x)))
+    zip_classes(z)
+    assert e_member_builds == []
+    # the counter sees the builds a report makes
+    refine_to_stationary(twist(z, x)).e_infinity
+    assert len(e_member_builds) == 1
+
+
+def test_twisted_verify_builds_no_sigma_table(witt23):
+    z, x = witt23
+    zx = twist(z, x)
+    assert all(r.passed for r in run_verification(zx))
+    assert "sigma" not in zx.__dict__
 
 
 # -- partition sanity across the corpus -------------------------------------------

@@ -51,7 +51,7 @@ def forged(witt22):
     assert report.class_count == 2
     m = min(y for y in source.members - {source.witness} if fine.part_of(y).size >= 2)
     moved = {target.witness: target.members | {m}, source.witness: source.members - {m}}
-    parts = {w: ZipClass(w, moved[w], c.e_infinity, c.g_infinity) for w, c in report.parts.items()}
+    parts = {w: ZipClass(w, moved[w], c.trace) for w, c in report.parts.items()}
     rep_of = {**report.rep_of, m: target.witness}
     return z, fine, report, ClassReport(z, report.relation, Partition(parts, rep_of))
 

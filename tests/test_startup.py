@@ -225,7 +225,7 @@ def twin(cls):
 
 SAMPLES = [
     (Job, ("witt", None, 3), ("witt", None, 4)),
-    (ZipClass, (1, frozenset({1, 2}), None, None), (1, frozenset({1}), None, None)),
+    (ZipClass, (1, frozenset({1, 2}), None), (1, frozenset({1}), None)),
     (DoubleCoset, (0, frozenset({0, 1})), (1, frozenset({0, 1}))),
     (RefinementTrace, ((1, 2),), ((1,),)),
     (CheckResult, ("torsor", True), ("torsor", False, "x")),

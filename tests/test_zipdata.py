@@ -275,6 +275,15 @@ def test_characterization_random_permutation_data(s4):
         assert e_infinity_characterization_check(z, refine_to_stationary(z))
 
 
+def test_characterization_refuses_a_trace_over_another_root(zoo):
+    # root pairs name fibers of their own root only, even over equal tables
+    z = zoo["s3-mixed"]
+    other = ZipDatum(z.E, z.G, z.tau, z.sigma)
+    assert e_infinity_characterization_check(z, refine_to_stationary(z))
+    with pytest.raises(InputError, match="another root"):
+        e_infinity_characterization_check(z, refine_to_stationary(other))
+
+
 def test_characterization_matches_naive_oracle(zoo, witt22, witt23, witt32):
     # the true trace and one cut a stage early, which some of the data reject
     data = [*zoo.items(), ("witt-p2-n2", witt22[0]), ("witt-p2-n3", witt23[0]), ("witt-p3-n2", witt32[0])]
