@@ -60,17 +60,17 @@ def _items(name: str, values, convert) -> tuple:
     return tuple(out)
 
 
-def _mulclose(mul, identity, candidates, carrier=None, limit=None):
+def _mulclose(mul, identity, candidates, member=None, limit=None):
     """Closure of {identity} under right multiplication by candidates.
 
     Candidates are taken in order and one already inside the closure so far
     is skipped, so the kept ones form a greedy generating set; it is
     key-minimal when the candidates come in key order.  In a finite group
     the submonoid generated this way is the subgroup.  Adding x to the
-    closure H grows <H, x> one right coset H*y at a time.  With a carrier,
-    any container, the first product outside it raises InputError; with a
-    limit, a coset that would take the closure past it raises
-    ResourceLimitExceeded before it is computed.
+    closure H grows <H, x> one right coset H*y at a time.  With member, a
+    predicate such as a carrier's membership test, the first product it
+    rejects raises InputError; with a limit, a coset that would take the
+    closure past it raises ResourceLimitExceeded before it is computed.
 
     Returns (closure, generators).
     """
@@ -91,14 +91,14 @@ def _mulclose(mul, identity, candidates, carrier=None, limit=None):
                     # the coset H*y is disjoint from the closure so far
                     raise ResourceLimitExceeded(f"carrier order at least {len(members) + len(old)}")
                 coset = [mul(h, y) for h in old]
-                if carrier is not None and not all(map(carrier.__contains__, coset)):
+                if member is not None and not all(map(member, coset)):
                     raise InputError("carrier is not closed under multiplication")
                 members.update(coset)
                 reps.append(y)
     return members, tuple(gens)
 
 
-def _graph(source, targets, points, carrier=None, limit=None):
+def _graph(source, targets, points, member=None, limit=None):
     """The tables of the homomorphisms whose graph the points generate; an
     InputError when they generate no graph.
 
@@ -111,7 +111,9 @@ def _graph(source, targets, points, carrier=None, limit=None):
     (Holt, Eick and O'Brien).  A graph has at most |source| elements, so
     with a limit of |source| a closure that would outgrow it is none.  Every
     f_i(s) in the tables is the target's own element value, so tables over
-    a large source share them.  carrier is _mulclose's.
+    a large source share them.  member is _mulclose's: with the graph of
+    given maps as its carrier, every point past the identity is tested
+    against them.
     """
     smul = source.mul
     muls = [lambda a, b, mul=t.mul, own=dict(zip(t.elements, t.elements)): own[mul(a, b)] for t in targets]
@@ -122,7 +124,7 @@ def _graph(source, targets, points, carrier=None, limit=None):
         mul = lambda x, y: (smul(x[0], y[0]), m1(x[1], y[1]), m2(x[2], y[2]))
     identity = (source.identity, *(t.identity for t in targets))
     try:
-        members = _mulclose(mul, identity, points, carrier, limit)[0]
+        members = _mulclose(mul, identity, points, member, limit)[0]
         tables = [{x[0]: x[i] for x in members} for i in range(1, len(identity))]
         if len(tables[0]) == len(members):
             return tables
@@ -304,7 +306,7 @@ class FiniteGroup:
         Computing it is the closure certificate: the right-multiplication
         closure of S stays inside the carrier and covers it.
         """
-        return _mulclose(self.mul, self.identity, self.elements, self.element_set)[1]
+        return _mulclose(self.mul, self.identity, self.elements, self.element_set.__contains__)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +493,9 @@ class MatrixGroup(FiniteGroup):
         return tuple(v * di % m for row in adj for v in row)
 
     def format_element(self, a) -> str:
-        return "[" + ",".join(str(v) for v in a) + "]"
+        if self.size == 2:
+            return "[%d,%d,%d,%d]" % a
+        return "[" + ",".join(map(str, a)) + "]"
 
     def parse_element(self, text: str):
         s = text.strip()
@@ -620,7 +624,8 @@ class Subgroup:
 
     @cached_property
     def elements(self) -> tuple:
-        return tuple(sorted(self.members))
+        """The members in key order; the ambient's own tuple when they are all of it."""
+        return self.ambient.elements if self.members == self.ambient.element_set else tuple(sorted(self.members))
 
     @property
     def order(self) -> int:
@@ -637,7 +642,7 @@ class Subgroup:
 
     @cached_property
     def _as_group(self) -> FiniteGroup:
-        return self.ambient if self.members == self.ambient.element_set else self.ambient.restrict(self.elements)
+        return self.ambient if self.elements is self.ambient.elements else self.ambient.restrict(self.elements)
 
     def as_group(self) -> FiniteGroup:
         """The subgroup as a standalone group sharing element values."""
@@ -679,7 +684,7 @@ class Homomorphism:
             raise InputError("map does not send identity to identity")
         gens, mul, fmt = source.generators, source.mul, source.format_element
         try:
-            _graph(source, [target], [(s, table[s]) for s in gens], table.items())
+            _graph(source, [target], [(s, table[s]) for s in gens], table.items().__contains__)
         except InputError:
             a, s = next((a, s) for s in gens for a in source if table[mul(a, s)] != target.mul(table[a], table[s]))
             raise InputError(f"map is not multiplicative at ({fmt(a)}, {fmt(s)})") from None

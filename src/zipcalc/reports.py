@@ -26,7 +26,9 @@ def dumps_canonical(obj) -> str:
 
 
 def members_digest(group, members) -> str:
-    text = ",".join(group.format_element(m) for m in sorted(members))
+    """The digest of the members' text in key order; given a subgroup's
+    cached ``elements``, already in that order, the sort is one linear pass."""
+    text = ",".join(map(group.format_element, sorted(members)))
     return sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
@@ -52,7 +54,7 @@ def class_report_document(name: str, report: ClassReport) -> dict:
         }
         if c.trace is not None:
             entry["e_infinity_order"] = c.trace.e_infinity.order
-            entry["e_infinity_digest"] = members_digest(z.E, c.trace.e_infinity.members)
+            entry["e_infinity_digest"] = members_digest(z.E, c.trace.e_infinity.elements)
             entry["g_infinity_order"] = c.trace.g_infinity.order
             entry["g_infinity"] = [fmt(m) for m in c.trace.g_infinity.elements]
         classes.append(entry)
@@ -67,14 +69,13 @@ def class_report_document(name: str, report: ClassReport) -> dict:
 
 
 def _subgroup_entry(group, sub, with_members: bool) -> dict:
-    entry = {"order": sub.order, "digest": members_digest(group, sub.members)}
+    entry = {"order": sub.order, "digest": members_digest(group, sub.elements)}
     if with_members:
         entry["members"] = [group.format_element(m) for m in sub.elements]
     return entry
 
 
-def _stationary_document(kind: str, name: str, z: ZipDatum, trace: RefinementTrace, with_members: bool,
-                         **fields) -> dict:
+def _stationary_document(kind: str, name: str, z: ZipDatum, trace: RefinementTrace, with_members: bool) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
@@ -82,22 +83,23 @@ def _stationary_document(kind: str, name: str, z: ZipDatum, trace: RefinementTra
         "stationary_index": trace.stationary_index,
         "e_infinity": _subgroup_entry(z.E, trace.e_infinity, with_members),
         "g_infinity": _subgroup_entry(z.G, trace.g_infinity, with_members),
-        **fields,
     }
 
 
 def trace_document(name: str, z: ZipDatum, trace: RefinementTrace) -> dict:
-    stages = [
+    doc = _stationary_document("refinement-trace", name, z, trace, False)
+    e_infinity_digest = doc["e_infinity"]["digest"]  # the last stage's E is trace.e_infinity
+    doc["stages"] = [
         {
             "index": i,
             "e_order": e_i.order,
-            "e_digest": members_digest(z.E, e_i.members),
+            "e_digest": e_infinity_digest if e_i is trace.e_infinity else members_digest(z.E, e_i.elements),
             "g_order": g_i.order,
-            "g_digest": members_digest(z.G, g_i.members),
+            "g_digest": members_digest(z.G, g_i.elements),
         }
         for i, (e_i, g_i) in enumerate(trace.stages)
     ]
-    return _stationary_document("refinement-trace", name, z, trace, False, stages=stages)
+    return doc
 
 
 def infinity_document(name: str, z: ZipDatum, trace: RefinementTrace) -> dict:

@@ -86,10 +86,13 @@ class ZipDatum:
 
     @cached_property
     def _e_members(self) -> frozenset:
-        """This datum's E as a set: the union of its root fibers.  Read by E
-        and by a trace's E-level subgroups, for reports and oracles only."""
-        fibers = self._root._fibers
-        return frozenset(e for r in self._pairs for e in fibers[r])
+        """This datum's E as a set: the union of its root fibers, the root
+        carrier's own set when they are all of them.  Read by E and by a
+        trace's E-level subgroups, for reports and oracles only."""
+        root = self._root
+        if len(self._pairs) == len(root._pairs):
+            return root.E.element_set
+        return frozenset(e for r in self._pairs for e in root._fibers[r])
 
     def pair_of(self, e):
         """(tau(e), sigma(e)) read off the pair table; None for e outside E."""
@@ -221,7 +224,8 @@ class RefinementTrace(namedtuple("RefinementTrace", "data")):
     for i = 0..stationary_index; ``e_infinity`` is the stationary E and
     ``g_infinity`` its tau-image (one step past the last stored G).  The
     E-level subgroups are built on first use, and cached in the instance
-    ``__dict__``: the class declares no ``__slots__``.
+    ``__dict__``: the class declares no ``__slots__``.  The last stage's E
+    is ``e_infinity`` itself.
     """
 
     @property
@@ -234,8 +238,8 @@ class RefinementTrace(namedtuple("RefinementTrace", "data")):
 
     @cached_property
     def stages(self) -> tuple:
-        E0, G0 = self.data[0].E, self.data[0].G
-        return tuple((Subgroup(E0, d._e_members), Subgroup(G0, d.G.element_set)) for d in self.data)
+        es = [Subgroup(self.data[0].E, d._e_members) for d in self.data[:-1]] + [self.e_infinity]
+        return tuple(zip(es, (Subgroup(self.data[0].G, d.G.element_set) for d in self.data)))
 
     @cached_property
     def e_infinity(self) -> Subgroup:

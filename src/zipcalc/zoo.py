@@ -70,34 +70,35 @@ class WittZipConfig(namedtuple("WittZipConfig", "p n")):
         return p ** (4 * (n - 2)) * (p * p - 1) * (p * p - p)
 
 
+def witt_tau(e: tuple, m: int) -> tuple:
+    """tau of one matrix: every entry reduced modulo m, G's modulus."""
+    return tuple(v % m for v in e)
+
+
+def witt_sigma(e: tuple, p: int, m: int) -> tuple:
+    """sigma of one 2x2 matrix: (a, b, c, d) -> (a, p*b, c/p, d) modulo m,
+    G's modulus, for a matrix modulo p*m whose lower-left entry p divides."""
+    if e[2] % p:
+        raise InputError("witt-sigma needs lower-left entries divisible by p")
+    # the lower-left entry c is read in [0, p*m), so c // p is the
+    # well-defined value of c/p modulo m
+    return (e[0] % m, p * e[1] % m, e[2] // p % m, e[3] % m)
+
+
 def witt_tau_table(E: MatrixGroup, G: MatrixGroup) -> dict:
-    """The table of tau: every entry reduced modulo G's modulus."""
+    """The table of witt_tau on E."""
     if not (isinstance(E, MatrixGroup) and isinstance(G, MatrixGroup)):
         raise InputError("witt presets need matrix groups")
-    m = G.modulus
-    return {e: tuple(v % m for v in e) for e in E}
+    return {e: witt_tau(e, G.modulus) for e in E}
 
 
 def witt_sigma_table(E: MatrixGroup, G: MatrixGroup, p: int) -> dict:
-    """The table of sigma: (a, b, c, d) -> (a, p*b, c/p, d) one level down.
-
-    E must hold 2x2 matrices modulo p times G's modulus, with lower-left
-    entries divisible by p.
-    """
+    """The table of witt_sigma on E, 2x2 matrices modulo p times G's modulus."""
     if not (isinstance(E, MatrixGroup) and isinstance(G, MatrixGroup)):
         raise InputError("witt presets need matrix groups")
     if E.size != 2 or G.size != 2 or E.modulus != G.modulus * p:
         raise InputError("witt presets need 2x2 groups with E modulus = p * G modulus")
-    m = G.modulus
-    table = {}
-    for e in E:
-        a, b, c, d = e
-        if c % p:
-            raise InputError("witt-sigma needs lower-left entries divisible by p")
-        # c is read in [0, p^n), so c // p is the well-defined value of c/p
-        # modulo p^(n-1)
-        table[e] = (a % m, (p * b) % m, (c // p) % m, d % m)
-    return table
+    return {e: witt_sigma(e, p, G.modulus) for e in E}
 
 
 def build_witt_zip(config: WittZipConfig) -> tuple:
@@ -109,29 +110,30 @@ def build_witt_zip(config: WittZipConfig) -> tuple:
     lower-left entry in pZ has unit diagonal entries, so it factors as
     lower unipotent * diagonal * upper unipotent.
 
-    One graph closure builds and certifies E, tau and sigma: the triples
-    (g, tau(g), sigma(g)) of these generators, their images read off the
-    two formulas, generate a subgroup of E x G x G.  Its elements have
-    distinct first coordinates, so it is the graph of e -> (tau(e), sigma(e))
-    and both maps are homomorphisms on E, its first coordinates.  The
-    tables of witt_tau_table and witt_sigma_table must equal the two maps
-    on all of E, so the divided conjugation is a well-defined homomorphism.
+    One graph closure builds and certifies E, tau and sigma.  The triples
+    (g, tau(g), sigma(g)) of these generators, read off witt_tau and
+    witt_sigma, generate a subgroup H of E x G x G, and the closure tests
+    every point of H past the identity against the two formulas; the
+    identity is tested here.  So H lies inside the graph of the formulas,
+    where no two points share a first coordinate: H is that graph over E,
+    its first coordinates, and both formulas are homomorphisms on E (see
+    ``_graph``).  In particular the divided conjugation is well defined.
     """
     p, n = config.p, config.n
     pn = p**n
     m = p ** (n - 1)
     units = [u for u in range(1, pn) if u % p]
     gens = [(1, 1, 0, 1), (1, 0, p, 1)] + [(u, 0, 0, 1) for u in units] + [(1, 0, 0, u) for u in units]
-    # each generator g as the point (g, tau(g), sigma(g)), read off the formulas
-    points = [(g, tuple(v % m for v in g), (g[0] % m, p * g[1] % m, g[2] // p % m, g[3] % m)) for g in gens]
     ambient = MatrixGroup(2, pn, [(1, 0, 0, 1)])
     G = MatrixGroup.general_linear(2, m)
-    tau, sigma = _graph(ambient, [G, G], points)
+    on_graph = lambda x: x[1] == witt_tau(x[0], m) and x[2] == witt_sigma(x[0], p, m)
+    if not on_graph((ambient.identity, G.identity, G.identity)):
+        raise InputError("the Witt formulas do not send 1 to 1")
+    points = [(g, witt_tau(g, m), witt_sigma(g, p, m)) for g in gens]
+    tau, sigma = _graph(ambient, [G, G], points, on_graph)
     E = ambient.restrict(tau)
     if E.order != config.e_order:
         raise InvariantViolation(f"Witt E has order {E.order}, expected {config.e_order}")
-    if tau != witt_tau_table(E, G) or sigma != witt_sigma_table(E, G, p):
-        raise InputError("the Witt formulas differ from the homomorphisms their generator images define")
     return ZipDatum(E, G, Homomorphism._certified(E, G, tau), Homomorphism._certified(E, G, sigma)), (0, 1, 1, 0)
 
 

@@ -221,7 +221,9 @@ def naive_groupoid_equivalence_check(z, x, y, e, e_tilde):
     psi_E maps E_1^x onto E_1^y, psi_G maps G_1 onto G_1,
     psi_G(eps.g) = psi_E(eps).psi_G(g) for every eps in E_1^x and g in G_1,
     psi_G maps each orbit onto an orbit, and psi_E maps the stabilizer of
-    each g onto the stabilizer of psi_G(g).
+    each g onto the stabilizer of psi_G(g).  The statement needs the action
+    on G_1: a forged tau whose image is no subgroup can let it leave G_1,
+    and then the statement fails.
     """
     G, E = z.G, z.E
     tau, sigma = z.tau.table, z.sigma.table
@@ -239,6 +241,8 @@ def naive_groupoid_equivalence_check(z, x, y, e, e_tilde):
 
     e1x, act_x = side(x)
     e1y, act_y = side(y)
+    if not g1.issuperset(act_x.values()) or not g1.issuperset(act_y.values()):
+        return False
     et_inv = E.inv(e_tilde)
     psi_e = {eps: E.mul(E.mul(et_inv, eps), e_tilde) for eps in e1x}
     shift = G.mul(G.mul(x, sigma[e_tilde]), G.inv(y))

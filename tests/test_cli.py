@@ -832,8 +832,8 @@ def test_refine_digests_each_stage_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "--config", str(config), "--command", "refine")
     assert code == EXIT_OK
     stages = json.loads(out[out.index("{"):])["stages"]
-    # one digest per stage subgroup, plus E_inf and G_inf
-    assert len(calls) == 2 * len(stages) + 2 == 8
+    # one digest per stage subgroup, plus G_inf: the last stage's E is E_inf
+    assert len(calls) == 2 * len(stages) + 1 == 7
 
 
 def test_witt_tau_preset_needs_matrix_groups(tmp_path, capsys):

@@ -340,6 +340,16 @@ def test_groupoid_check_matches_naive_oracle(s3, s4, data):
     assert groupoid_equivalence_check(z, x, y, e, et) == expected
 
 
+def test_naive_groupoid_oracle_fails_an_action_that_leaves_g1(s4):
+    # tau forged to send one transposition to 1: its image, S4 less that
+    # transposition, is no subgroup, and the action of E_1 leaves it
+    table = {a: a for a in s4}
+    table[(1, 0, 2, 3)] = s4.identity
+    z = ZipDatum(s4, s4, forged_hom(s4, s4, table), inclusion_hom(s4, s4))
+    e = s4.identity
+    assert oracles.naive_groupoid_equivalence_check(z, e, e, e, e) is False
+
+
 def test_groupoid_check_matches_naive_oracle_on_zip_data(zoo, witt22, witt23):
     # at every forest root, with seeded witness draws
     data = [*zoo.items(), ("witt-p2-n2", witt22[0]), ("witt-p2-n3", witt23[0])]

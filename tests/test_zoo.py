@@ -74,18 +74,29 @@ def test_witt_e_order_is_checked_against_the_closed_form(monkeypatch):
         build_witt_zip(WittZipConfig(2, 2))
 
 
-@pytest.mark.parametrize("formula", ["witt_tau_table", "witt_sigma_table"])
-def test_a_wrong_witt_formula_fails_the_build(monkeypatch, tmp_path, capsys, formula):
+@pytest.mark.parametrize(
+    "formula, entry, match",
+    [
+        # [7,7,6,7], the last element of E on witt-p2-n3, is no generator of
+        # E: the graph closure reaches it as a product and tests it
+        pytest.param("witt_tau", (7, 7, 6, 7), None, id="witt_tau"),
+        pytest.param("witt_sigma", (7, 7, 6, 7), None, id="witt_sigma"),
+        # the closure starts from the identity point and never tests it, so
+        # the build tests it first
+        pytest.param("witt_tau", (1, 0, 0, 1), "send 1 to 1", id="witt_tau-at-identity"),
+        pytest.param("witt_sigma", (1, 0, 0, 1), "send 1 to 1", id="witt_sigma-at-identity"),
+    ],
+)
+def test_a_wrong_witt_formula_fails_the_build(monkeypatch, tmp_path, capsys, formula, entry, match):
     right = getattr(zoo, formula)
+    G = MatrixGroup.general_linear(2, 4)
 
-    def wrong(E, G, *args):
-        table = right(E, G, *args)
-        e = E.elements[-1]  # [7,7,6,7] on witt-p2-n3, no generator of E
-        table[e] = next(g for g in G.elements if g != table[e])
-        return table
+    def wrong(e, *args):
+        value = right(e, *args)
+        return next(g for g in G.elements if g != value) if e == entry else value
 
     monkeypatch.setattr(zoo, formula, wrong)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=match):
         build_witt_zip(WittZipConfig(2, 3))
     config = tmp_path / "witt23.json"
     config.write_text(json.dumps({"preset": {"kind": "witt", "p": 2, "n": 3}}), encoding="utf-8")
