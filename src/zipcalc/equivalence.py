@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .groups import InputError, Partition, _orbit, _partition
-from .zipdata import ZipDatum, refine, refine_to_stationary, twist
+from .zipdata import ZipDatum, _check_witnesses, refine, refine_to_stationary, twist
 
 
 class ZipClass(namedtuple("ZipClass", "witness members trace")):
@@ -245,15 +245,7 @@ def groupoid_equivalence_check(z: ZipDatum, x, y, e, e_tilde) -> bool:
     table.
     """
     G = z.G
-    for el, what in ((x, "x"), (y, "y")):
-        if el not in G:
-            raise InputError(f"precondition failed: {what} is not in G")
-    pe, pet = z.pair_of(e), z.pair_of(e_tilde)
-    if pe is None or pet is None:
-        raise InputError("precondition failed: witnesses are not in E")
-    if y != G.mul(G.mul(pe[0], x), pet[1]):
-        raise InputError("precondition failed: y != tau(e) * x * sigma(e~)")
-
+    pet = _check_witnesses(z, x, y, (e, e_tilde))
     zx1, zy1 = refine(twist(z, x)), refine(twist(z, y))
     root_pairs = zx1._conjugation_onto(zy1, e_tilde)
     if root_pairs is None:

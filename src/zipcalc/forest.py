@@ -141,12 +141,12 @@ def _transport(datum: ZipDatum, x, rep):
     the key-minimal element of E with sigma(et) = rep^-1 * a^-1 * x, so the
     choice is deterministic."""
     G = datum.G
-    by_sigma = datum.sigma_witnesses
+    tau_by_sigma = datum.tau_by_sigma
     rep_inv = G.inv(rep)
     for a in datum.tau_image.elements:
-        entry = by_sigma.get(G.mul(G.mul(rep_inv, G.inv(a)), x))
-        if entry is not None:
-            return G.mul(entry[0], a)
+        tau_et = tau_by_sigma.get(G.mul(G.mul(rep_inv, G.inv(a)), x))
+        if tau_et is not None:
+            return G.mul(tau_et, a)
     raise InvariantViolation("element escaped its own double coset")
 
 

@@ -10,8 +10,9 @@ by x in G conjugates the second coordinate of every pair.  Refinement replaces
 G by G_1 = pr1(P) and keeps the pairs whose second coordinate lies in G_1;
 this is (sigma^-1(tau(E)), tau(E), tau, sigma).  Neither creates fibers: a
 derived datum maps each root pair it keeps to its own pair, and its E is the
-union of the kept root fibers.  The E-level attributes E, tau and sigma of a
-derived datum are built, and checked, on first use.
+union of the kept root fibers, built on first use.  Only a root holds the
+maps tau and sigma on E; a derived datum is its root, its G and its pair
+table.
 
 Over finite carriers the refinement chain is decreasing and becomes
 stationary; the stationary E is the largest subgroup on which sigma maps into
@@ -39,7 +40,10 @@ class ZipDatum:
     """(E, G, tau, sigma) with tau, sigma : E -> G sharing source and target.
 
     The core is ``_pairs``: each pair of the root datum mapped to this
-    datum's pair over the same fiber of E.  Instances are immutable.
+    datum's pair over the same fiber of E.  It iterates its root pairs in
+    the key order of their fibers' key-minimal elements: ``_fibers`` walks
+    the sorted E, and twist and refine keep the order.  Instances are
+    immutable.
     """
 
     def __init__(self, E: FiniteGroup, G: FiniteGroup, tau: Homomorphism, sigma: Homomorphism):
@@ -137,17 +141,16 @@ class ZipDatum:
 
     @cached_property
     def action_pairs(self) -> tuple:
-        """Distinct (tau(e), sigma(e)) pairs, each with its key-minimal witness."""
-        fibers = self._root._fibers
-        return tuple(sorted((a, b, fibers[r][0]) for r, (a, b) in self._pairs.items()))
+        """The distinct pairs (tau(e), sigma(e)), in key order."""
+        return tuple(sorted(self._pairs.values()))
 
     @cached_property
-    def sigma_witnesses(self) -> dict:
-        """b -> the entry (a, b, w) of action_pairs whose witness w is the
-        key-minimal element of E with sigma(w) = b."""
+    def tau_by_sigma(self) -> dict:
+        """b -> tau(w) for w the key-minimal element of E with sigma(w) = b:
+        the first pair with second coordinate b in the pair table's order."""
         out = {}
-        for entry in sorted(self.action_pairs, key=lambda t: t[2]):
-            out.setdefault(entry[1], entry)
+        for a, b in self._pairs.values():
+            out.setdefault(b, a)
         return out
 
     @cached_property
@@ -158,38 +161,21 @@ class ZipDatum:
         generators, which keeps class expansion linear in the orbit size.
         """
         G = self.G
-        pairs = [(a, b) for a, b, _ in self.action_pairs]
         ident = (G.identity, G.identity)
 
         def pair_mul(p, q):
             return (G.mul(p[0], q[0]), G.mul(p[1], q[1]))
 
-        gens = _mulclose(pair_mul, ident, pairs)[1]
+        gens = _mulclose(pair_mul, ident, self.action_pairs)[1]
         return tuple((a, G.inv(b)) for a, b in gens)
 
-    # -- E-level attributes of a derived datum, built on first use --------------
+    # -- the E of a derived datum, built on first use --------------------------
 
     @cached_property
     def E(self) -> FiniteGroup:
         if len(self._pairs) == len(self._parent._pairs):
             return self._parent.E
-        return Subgroup(self._root.E, self._e_members).as_group()
-
-    @cached_property
-    def tau(self) -> Homomorphism:
-        parent = self._parent
-        if self.E is parent.E and self.G is parent.G:
-            return parent.tau  # same fibers, same first coordinates
-        return self._hom(0)
-
-    @cached_property
-    def sigma(self) -> Homomorphism:
-        return self._hom(1)
-
-    def _hom(self, side: int) -> Homomorphism:
-        fibers = self._root._fibers
-        table = {e: p[side] for r, p in self._pairs.items() for e in fibers[r]}
-        return Homomorphism(self.E, self.G, table)
+        return self._root.E.restrict(self._e_members)
 
 
 def twist(z: ZipDatum, x) -> ZipDatum:
@@ -311,20 +297,29 @@ def twist_refine_identity_check(z: ZipDatum, x, y, *, witnesses=None) -> bool:
     differ from the E-level statement either way.  The witnesses' pairs are
     read off z's pair table.
     """
+    _check_witnesses(z, x, y, witnesses)
+    if witnesses is None:
+        if y not in z.tau_image.members:
+            raise InputError("precondition failed: y is not in the image of tau")
+        lhs = refine(twist(z, z.G.mul(y, x)))
+        rhs = twist(refine(twist(z, x)), y)
+        return lhs._pairs == rhs._pairs and lhs.G.element_set == rhs.G.element_set
+    return refine(twist(z, x))._conjugation_onto(refine(twist(z, y)), witnesses[1]) is not None
+
+
+def _check_witnesses(z: ZipDatum, x, y, witnesses):
+    """Raise InputError unless x and y lie in G and, for witnesses (e, et),
+    both have pairs in z and y = tau(e)*x*sigma(et); return et's pair, or
+    None without witnesses."""
     G = z.G
     for el, what in ((x, "x"), (y, "y")):
         if el not in G:
             raise InputError(f"precondition failed: {what} is not in G")
     if witnesses is None:
-        if y not in z.tau_image.members:
-            raise InputError("precondition failed: y is not in the image of tau")
-        lhs = refine(twist(z, G.mul(y, x)))
-        rhs = twist(refine(twist(z, x)), y)
-        return lhs._pairs == rhs._pairs and lhs.G.element_set == rhs.G.element_set
-    e, et = witnesses
-    pe, pet = z.pair_of(e), z.pair_of(et)
+        return None
+    pe, pet = map(z.pair_of, witnesses)
     if pe is None or pet is None:
         raise InputError("precondition failed: witnesses are not in E")
     if y != G.mul(G.mul(pe[0], x), pet[1]):
         raise InputError("precondition failed: y != tau(e) * x * sigma(et)")
-    return refine(twist(z, x))._conjugation_onto(refine(twist(z, y)), et) is not None
+    return pet

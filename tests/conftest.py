@@ -26,12 +26,12 @@ def forged_hom(source, target, table):
 
 
 def same_carriers_and_tables(a, b):
-    """Two zip data with equal carriers of E and G and equal tau and sigma tables."""
+    """Two zip data with equal carriers of E and G and equal pairs
+    (tau(e), sigma(e)) at every e of a's root E, None outside a datum's E."""
     return (
         a.E.element_set == b.E.element_set
         and a.G.element_set == b.G.element_set
-        and a.tau.table == b.tau.table
-        and a.sigma.table == b.sigma.table
+        and all(a.pair_of(e) == b.pair_of(e) for e in a._root.E.elements)
     )
 
 

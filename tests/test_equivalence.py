@@ -350,6 +350,21 @@ def test_naive_groupoid_oracle_fails_an_action_that_leaves_g1(s4):
     assert oracles.naive_groupoid_equivalence_check(z, e, e, e, e) is False
 
 
+def test_groupoid_generator_probes_decide_a_forged_tau(s3):
+    # tau swaps two transpositions and sigma sends one 3-cycle to 1: the
+    # pair map is a bijection and the equation holds at g = 1, so only the
+    # probes at the generators of G_1 reject these witnesses
+    tau_table = {a: a for a in s3}
+    tau_table[(0, 2, 1)], tau_table[(2, 1, 0)] = (2, 1, 0), (0, 2, 1)
+    sigma_table = {a: a for a in s3}
+    sigma_table[(2, 0, 1)] = s3.identity
+    z = ZipDatum(s3, s3, forged_hom(s3, s3, tau_table), forged_hom(s3, s3, sigma_table))
+    x, e, et = (0, 1, 2), (1, 2, 0), (2, 0, 1)
+    y = s3.mul(s3.mul(z.tau(e), x), z.sigma(et))
+    assert groupoid_equivalence_check(z, x, y, e, et) is False
+    assert oracles.naive_groupoid_equivalence_check(z, x, y, e, et) is False
+
+
 def test_groupoid_check_matches_naive_oracle_on_zip_data(zoo, witt22, witt23):
     # at every forest root, with seeded witness draws
     data = [*zoo.items(), ("witt-p2-n2", witt22[0]), ("witt-p2-n3", witt23[0])]
@@ -395,11 +410,25 @@ def test_verify_and_classes_build_no_subset_of_e(e_member_builds):
     assert len(e_member_builds) == 1
 
 
-def test_twisted_verify_builds_no_sigma_table(witt23):
+def test_twisted_verify_builds_no_sigma_table(witt23, monkeypatch):
+    # a derived datum holds no map on E: once the root exists, verify,
+    # twisted or not, and zip_classes construct no Homomorphism
     z, x = witt23
-    zx = twist(z, x)
-    assert all(r.passed for r in run_verification(zx))
-    assert "sigma" not in zx.__dict__
+    builds = []
+    hom_init = Homomorphism.__init__
+
+    def counted(self, *args):
+        builds.append(args)
+        hom_init(self, *args)
+
+    monkeypatch.setattr(Homomorphism, "__init__", counted)
+    assert all(r.passed for r in run_verification(twist(z, x)))
+    assert all(r.passed for r in run_verification(z))
+    zip_classes(twist(z, x))
+    assert builds == []
+    # the counter sees a construction
+    Homomorphism(z.E, z.G, z.tau.table)
+    assert len(builds) == 1
 
 
 # -- partition sanity across the corpus -------------------------------------------

@@ -12,6 +12,7 @@ from zipcalc import (
     MatrixGroup,
     RefinementTrace,
     ZipDatum,
+    build_forest,
     e_infinity_characterization_check,
     inclusion_hom,
     is_tau_surjective,
@@ -21,6 +22,24 @@ from zipcalc import (
     twist,
     twist_refine_identity_check,
 )
+
+
+def defined_twist(z, x) -> dict:
+    """e -> (tau(e), x*sigma(e)*x^-1) on the E of the root z, read off its
+    certified tables."""
+    return {e: (z.tau(e), z.G.conjugate(x, z.sigma(e))) for e in z.E.elements}
+
+
+def defined_refine(pairs: dict) -> dict:
+    """The pairs of one refinement step: those whose second coordinate is a
+    first coordinate, that is e in sigma^-1(tau(E))."""
+    tau_image = {a for a, _ in pairs.values()}
+    return {e: p for e, p in pairs.items() if p[1] in tau_image}
+
+
+def pairs_of(d) -> dict:
+    """e -> d.pair_of(e) on the E of the datum d."""
+    return {e: d.pair_of(e) for e in d.E.elements}
 
 
 def test_zip_datum_rejects_mismatched_homs(s3, gl2f2):
@@ -60,6 +79,7 @@ def test_twist_by_identity(witt22):
 
 def test_twist_then_untwist(witt22):
     z, x = witt22
+    assert pairs_of(twist(z, x)) == defined_twist(z, x)
     assert same_carriers_and_tables(twist(twist(z, x), z.G.inv(x)), z)
 
 
@@ -75,6 +95,7 @@ def test_twist_composes_like_conjugation(witt22, data):
     G = z.G
     x = G.elements[data.draw(st.integers(0, G.order - 1))]
     y = G.elements[data.draw(st.integers(0, G.order - 1))]
+    assert pairs_of(twist(twist(z, x), y)) == defined_twist(z, G.mul(y, x))
     assert same_carriers_and_tables(twist(twist(z, x), y), twist(z, G.mul(y, x)))
     assert same_carriers_and_tables(twist(twist(z, x), G.inv(x)), z)
 
@@ -93,7 +114,7 @@ def test_twist_witt_antidiagonal_formula(witt23):
     p, m = 2, 4
     for e in z.E.elements[::37]:
         a, b, c, d = e
-        assert zx.sigma(e) == (d % m, (c // p) % m, (p * b) % m, a % m)
+        assert zx.pair_of(e) == (z.tau(e), (d % m, (c // p) % m, (p * b) % m, a % m))
 
 
 # -- the pair core ------------------------------------------------------------------
@@ -101,32 +122,56 @@ def test_twist_witt_antidiagonal_formula(witt23):
 
 def test_pair_images_match_hom_images(acceptance_data):
     for name, z in acceptance_data[:-1]:
-        for d in (z, twist(z, z.G.elements[-1]), refine(z)):
-            assert d.tau_image.members == d.tau.image().members, name
-            assert d.sigma_image.members == d.sigma.image().members, name
+        x = z.G.elements[-1]
+        tables = defined_twist(z, z.G.identity)
+        assert set(tables.values()) == set(z.action_pairs), name
+        for d, pairs in ((z, tables), (twist(z, x), defined_twist(z, x)), (refine(z), defined_refine(tables))):
+            assert d.tau_image.members == {a for a, _ in pairs.values()}, name
+            assert d.sigma_image.members == {b for _, b in pairs.values()}, name
 
 
 def test_derived_e_level_attributes(witt22):
+    # a derived datum builds its E on first use, and holds no map on it
     z, x = witt22
     zx = twist(z, x)
-    assert zx.E is z.E and zx.tau is z.tau
-    assert zx.sigma.table == {e: z.G.conjugate(x, z.sigma(e)) for e in z.E}
     z1 = refine(zx)
-    assert z1.E.element_set == frozenset(e for e in z.E if zx.sigma(e) in zx.tau_image.members)
-    assert z1.tau.table == {e: z.tau(e) for e in z1.E}
-    assert z1.sigma.table == {e: zx.sigma(e) for e in z1.E}
-    for e in z.E:
-        expected = (z1.tau(e), z1.sigma(e)) if e in z1.E else None
-        assert z1.pair_of(e) == expected
+    assert zx.E is z.E
+    expected = defined_refine(defined_twist(z, x))
+    assert z1.E.elements == tuple(sorted(expected))
+    for e in z.E.elements:
+        assert z1.pair_of(e) == expected.get(e)
+    for d in (zx, z1):
+        assert not any(hasattr(d, name) for name in ("tau", "sigma", "_hom", "sigma_witnesses"))
 
 
-def test_sigma_witnesses_are_key_minimal(witt22):
-    z, x = witt22
-    for d in (z, refine(twist(z, x))):
-        for b in d.sigma_image.elements:
-            a, b_, w = d.sigma_witnesses[b]
-            assert b_ == b and d.sigma(w) == b and d.tau(w) == a
-            assert w == min(e for e in d.E if d.sigma(e) == b)
+def test_tau_by_sigma_is_key_minimal(zoo, witt22):
+    for z, x in [*((z, z.G.elements[-1]) for z in zoo.values()), witt22]:
+        twisted = defined_twist(z, x)
+        cases = [
+            (z, defined_twist(z, z.G.identity)),
+            (twist(z, x), twisted),
+            (refine(twist(z, x)), defined_refine(twisted)),
+        ]
+        for d, pairs in cases:
+            assert d.tau_by_sigma.keys() == d.sigma_image.members
+            for b in d.sigma_image.elements:
+                w = min(e for e, p in pairs.items() if p[1] == b)
+                assert d.tau_by_sigma[b] == pairs[w][0]
+
+
+def test_pair_tables_iterate_in_witness_order(zoo, witt22, witt23):
+    # tau_by_sigma reads the key-minimal witness of each b off this order
+    def witness_order(d):
+        return [d._root._fibers[r][0] for r in d._pairs]
+
+    for name, z in [*zoo.items(), ("witt-p2-n2", witt22[0]), ("witt-p2-n3", witt23[0])]:
+        data = [*refine_to_stationary(z).data]
+        for x in z.G.elements:
+            data += refine_to_stationary(twist(z, x)).data
+        data += [node.datum for gen in build_forest(z).generations for node in gen]
+        for d in data:
+            mins = witness_order(d)
+            assert all(a < b for a, b in zip(mins, mins[1:])), name
 
 
 def test_refinement_matches_naive_chain_for_every_twist(zoo, witt22, witt23):
