@@ -30,7 +30,7 @@ from .groups import (
     trivial_hom,
 )
 from .zipdata import ZipDatum, refine_to_stationary, twist
-from .zoo import WittZipConfig, build_small_zoo, build_witt_zip, witt_sigma_table, witt_tau_table, zoo_entry
+from .zoo import WittZipConfig, build_small_zoo, build_witt_zip, witt_hom, zoo_entry
 
 COMMANDS = ("refine", "infinity", "orbits", "classes", "forest", "verify", "zoo")
 
@@ -159,10 +159,9 @@ def _build_hom(spec, E: FiniteGroup, G: FiniteGroup, where: str) -> Homomorphism
         if kind == "preset":
             name = _get(spec, where, "name", str)
             if name == "witt-sigma":
-                p = _get(spec, where, "p", int)
-                return Homomorphism(E, G, witt_sigma_table(E, G, p))
+                return witt_hom(E, G, _get(spec, where, "p", int))
             if name == "witt-tau":
-                return Homomorphism(E, G, witt_tau_table(E, G))
+                return witt_hom(E, G)
             _fail(f"{where}.name", f"unknown hom preset {name!r}")
     except ConfigError:
         raise

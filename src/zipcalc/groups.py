@@ -18,11 +18,6 @@ from collections import namedtuple
 from functools import cached_property
 from math import gcd
 
-# Element values are ints (Cayley indices) or int tuples (permutation images,
-# row-major matrix entries); the value itself is the canonical sort key.
-Element = object
-
-
 class InputError(ValueError):
     """An argument violates a documented precondition; ``at`` names the item at fault."""
 
@@ -69,8 +64,9 @@ def _mulclose(mul, identity, candidates, member=None, limit=None):
     the submonoid generated this way is the subgroup.  Adding x to the
     closure H grows <H, x> one right coset H*y at a time.  With member, a
     predicate such as a carrier's membership test, the first product it
-    rejects raises InputError; with a limit, a coset that would take the
-    closure past it raises ResourceLimitExceeded before it is computed.
+    rejects raises InputError; the candidates themselves are taken to
+    satisfy it and are not tested.  With a limit, a coset that would take
+    the closure past it raises ResourceLimitExceeded before it is computed.
 
     Returns (closure, generators).
     """
@@ -81,24 +77,26 @@ def _mulclose(mul, identity, candidates, member=None, limit=None):
             continue
         gens.append(x)
         old = list(members)
+        old.remove(identity)  # H*y is y and old*y
         reps = [identity]
         for r in reps:  # grows while it is walked
             for g in gens:
                 y = mul(r, g)
                 if y in members:
                     continue
-                if limit is not None and len(members) + len(old) > limit:
+                if limit is not None and len(members) + len(old) >= limit:
                     # the coset H*y is disjoint from the closure so far
-                    raise ResourceLimitExceeded(f"carrier order at least {len(members) + len(old)}")
+                    raise ResourceLimitExceeded(f"carrier order at least {len(members) + len(old) + 1}")
                 coset = [mul(h, y) for h in old]
-                if member is not None and not all(map(member, coset)):
+                # y is the candidate x itself when r is the identity
+                if member is not None and not (all(map(member, coset)) and (r is identity or member(y))):
                     raise InputError("carrier is not closed under multiplication")
-                members.update(coset)
+                members.update(coset, (y,))
                 reps.append(y)
     return members, tuple(gens)
 
 
-def _graph(source, targets, points, member=None, limit=None):
+def _graph(source, targets, points, rule=None, limit=None, ambient=False):
     """The tables of the homomorphisms whose graph the points generate; an
     InputError when they generate no graph.
 
@@ -109,20 +107,23 @@ def _graph(source, targets, points, member=None, limit=None):
     coordinates generate, and each f_i is a homomorphism there: H holds
     the product (a, f(a))(b, f(b)) = (ab, f(a)f(b)), so f(ab) = f(a)f(b)
     (Holt, Eick and O'Brien).  A graph has at most |source| elements, so
-    with a limit of |source| a closure that would outgrow it is none.  Every
-    f_i(s) in the tables is the target's own element value, so tables over
-    a large source share them.  member is _mulclose's: with the graph of
-    given maps as its carrier, every point past the identity is tested
-    against them.
+    with a limit of |source| a closure that would outgrow it is none.  With
+    a rule, s -> (f_1(s), ..., f_k(s)) on the points, its graph is the
+    carrier: every product is tested against it.  Every coordinate in the
+    tables is its group's own element value, so tables over a large source
+    share them; with ambient, the source stands only for its element space,
+    and the first coordinates are the closure's own.
     """
-    smul = source.mul
-    muls = [lambda a, b, mul=t.mul, own=dict(zip(t.elements, t.elements)): own[mul(a, b)] for t in targets]
-    m1, m2 = muls[0], muls[-1]
-    if len(muls) == 1:
-        mul = lambda x, y: (smul(x[0], y[0]), m1(x[1], y[1]))
+    groups = (source, *targets)
+    owns = [dict(zip(g.elements, g.elements)) for g in groups]
+    muls = [lambda a, b, mul=g.mul, own=own: own[mul(a, b)] for g, own in zip(groups, owns)]
+    m0, m1, m2 = source.mul if ambient else muls[0], muls[1], muls[-1]
+    if len(muls) == 2:
+        mul = lambda x, y: (m0(x[0], y[0]), m1(x[1], y[1]))
     else:
-        mul = lambda x, y: (smul(x[0], y[0]), m1(x[1], y[1]), m2(x[2], y[2]))
-    identity = (source.identity, *(t.identity for t in targets))
+        mul = lambda x, y: (m0(x[0], y[0]), m1(x[1], y[1]), m2(x[2], y[2]))
+    identity = tuple(own[g.identity] for g, own in zip(groups, owns))
+    member = None if rule is None else lambda x: rule(x[0]) == x[1:]
     try:
         members = _mulclose(mul, identity, points, member, limit)[0]
         tables = [{x[0]: x[i] for x in members} for i in range(1, len(identity))]
@@ -130,9 +131,42 @@ def _graph(source, targets, points, member=None, limit=None):
             return tables
     except ResourceLimitExceeded:
         pass
-    except KeyError:  # a target carrier that restrict took without a certificate
+    except KeyError:  # a carrier that restrict took without a certificate
         raise InputError("a product of images lies outside the target carrier") from None
     raise InputError("generator images are inconsistent with the group relations")
+
+
+def _certify(source, targets, rule, generators=None) -> list:
+    """The tables of the homomorphisms s -> rule(s) = (f_1(s), ..., f_k(s))
+    into the targets, certified by one graph closure; an InputError when
+    rule gives none.  A table d is the rule s -> (d[s],).
+
+    The rule is tested at the identity, where the closure starts and which
+    it never tests.  The points (s, *rule(s)) at the generators close with
+    rule's graph as carrier (see ``_graph``), so rule is read once at each
+    element the closure reaches, no two points share a first coordinate and
+    every f_i is a homomorphism on the group the generators generate.
+    Without generators they are the source's greedy generating set S, and a
+    failure is named as a check over the whole source would name it: an
+    image outside a target first, else the key-first a, for the first s in
+    S, with rule(a*s) != rule(a)*rule(s).  With generators, the source
+    stands only for their element space, as GL2(Z/p^n) does for the Witt
+    build's E.
+    """
+    if rule(source.identity) != tuple(t.identity for t in targets):
+        raise InputError("map does not send 1 to 1")
+    ambient = generators is not None
+    try:
+        points = [(s, *rule(s)) for s in (generators if ambient else source.generators)]
+        return _graph(source, targets, points, rule, ambient=ambient)
+    except InputError:
+        if ambient:
+            raise
+    if not all(v in t for a in source for v, t in zip(rule(a), targets)):
+        raise InputError("homomorphism image outside the target carrier")
+    times = lambda a, s: tuple(t.mul(u, v) for t, u, v in zip(targets, rule(a), rule(s)))
+    a, s = next((a, s) for s in source.generators for a in source if rule(source.mul(a, s)) != times(a, s))
+    raise InputError(f"map is not multiplicative at ({source.format_element(a)}, {source.format_element(s)})")
 
 
 def _orbit(seeds, moves) -> set:
@@ -237,10 +271,6 @@ class FiniteGroup:
 
     def inv(self, a):
         raise NotImplementedError
-
-    def conjugate(self, x, a):
-        "x * a * x^-1"
-        return self.mul(self.mul(x, a), self.inv(x))
 
     # -- carrier protocol ---------------------------------------------------
 
@@ -652,9 +682,8 @@ class Subgroup:
 def closure(ambient: FiniteGroup, generators) -> Subgroup:
     """Smallest subgroup of the ambient group containing the generators."""
     gens = list(generators)
-    for g in gens:
-        if g not in ambient:
-            raise InputError("closure generator outside the ambient carrier")
+    if not ambient.element_set.issuperset(gens):
+        raise InputError("closure generator outside the ambient carrier")
     return Subgroup(ambient, _mulclose(ambient.mul, ambient.identity, gens)[0])
 
 
@@ -671,7 +700,7 @@ class Homomorphism:
     of source x target.  The graph certificate closes the points (s, f(s))
     for s in the source's greedy generating set S with the graph as carrier:
     the closure projects onto the source, so it is the whole graph unless a
-    product leaves it first (see ``_graph``).  Preimage queries are then
+    product leaves it first (see ``_certify``).  Preimage queries are then
     plain set scans.
     """
 
@@ -680,15 +709,8 @@ class Homomorphism:
             raise InputError("homomorphism table must cover the source carrier exactly")
         if not target.element_set.issuperset(table.values()):
             raise InputError("homomorphism image outside the target carrier")
-        if table[source.identity] != target.identity:
-            raise InputError("map does not send identity to identity")
-        gens, mul, fmt = source.generators, source.mul, source.format_element
-        try:
-            _graph(source, [target], [(s, table[s]) for s in gens], table.items().__contains__)
-        except InputError:
-            a, s = next((a, s) for s in gens for a in source if table[mul(a, s)] != target.mul(table[a], table[s]))
-            raise InputError(f"map is not multiplicative at ({fmt(a)}, {fmt(s)})") from None
         self.source, self.target, self.table = source, target, dict(table)
+        _certify(source, [target], lambda a: (self.table[a],))
 
     @classmethod
     def _certified(cls, source: FiniteGroup, target: FiniteGroup, table: dict) -> "Homomorphism":
@@ -698,9 +720,6 @@ class Homomorphism:
         h = object.__new__(cls)
         h.source, h.target, h.table = source, target, table
         return h
-
-    def __call__(self, e):
-        return self.table[e]
 
     def __repr__(self):
         return f"<Homomorphism {self.source!r} -> {self.target!r}>"
@@ -717,21 +736,27 @@ class Homomorphism:
         return Subgroup(self.source, frozenset(e for e in self.source.elements if self.table[e] in want))
 
 
+def _rule_hom(source: FiniteGroup, target: FiniteGroup, rule) -> Homomorphism:
+    """The homomorphism s -> f(s), rule(s) = (f(s),), on the table that its
+    certificate's closure builds: the rule is never tabulated apart."""
+    return Homomorphism._certified(source, target, *_certify(source, [target], rule))
+
+
 def inclusion_hom(sub_group: FiniteGroup, ambient: FiniteGroup) -> Homomorphism:
     if sub_group.space() != ambient.space() or not sub_group.element_set <= ambient.element_set:
         raise InputError("inclusion needs a sub-carrier of the ambient group")
-    return Homomorphism(sub_group, ambient, {a: a for a in sub_group})
+    return _rule_hom(sub_group, ambient, lambda a: (a,))
 
 
 def trivial_hom(source: FiniteGroup, target: FiniteGroup) -> Homomorphism:
-    return Homomorphism(source, target, {a: target.identity for a in source})
+    return _rule_hom(source, target, lambda a: (target.identity,))
 
 
 def conjugation_hom(group: FiniteGroup, x) -> Homomorphism:
     """The inner automorphism a -> x * a * x^-1."""
     if x not in group:
         raise InputError("conjugating element outside the carrier")
-    return Homomorphism(group, group, {a: group.conjugate(x, a) for a in group})
+    return _rule_hom(group, group, lambda a, mul=group.mul, x_inv=group.inv(x): (mul(mul(x, a), x_inv),))
 
 
 def hom_from_generator_images(source: FiniteGroup, target: FiniteGroup, generators, images) -> Homomorphism:
@@ -760,8 +785,7 @@ def hom_from_generator_images(source: FiniteGroup, target: FiniteGroup, generato
 # ---------------------------------------------------------------------------
 
 
-class DoubleCoset(namedtuple("DoubleCoset", "representative members")):
-    __slots__ = ()
+DoubleCoset = namedtuple("DoubleCoset", "representative members")
 
 
 def double_cosets(ambient: FiniteGroup, left: Subgroup, right: Subgroup) -> Partition:

@@ -22,7 +22,8 @@ from .groups import (
     InvariantViolation,
     MatrixGroup,
     PermutationGroup,
-    _graph,
+    _certify,
+    _rule_hom,
     closure,
     conjugation_hom,
     inclusion_hom,
@@ -72,7 +73,7 @@ class WittZipConfig(namedtuple("WittZipConfig", "p n")):
 
 def witt_tau(e: tuple, m: int) -> tuple:
     """tau of one matrix: every entry reduced modulo m, G's modulus."""
-    return tuple(v % m for v in e)
+    return tuple([v % m for v in e])  # a list first: a generator is slower here
 
 
 def witt_sigma(e: tuple, p: int, m: int) -> tuple:
@@ -85,20 +86,16 @@ def witt_sigma(e: tuple, p: int, m: int) -> tuple:
     return (e[0] % m, p * e[1] % m, e[2] // p % m, e[3] % m)
 
 
-def witt_tau_table(E: MatrixGroup, G: MatrixGroup) -> dict:
-    """The table of witt_tau on E."""
+def witt_hom(E: MatrixGroup, G: MatrixGroup, p: int | None = None) -> Homomorphism:
+    """witt_sigma for the prime p, else witt_tau, as a homomorphism E -> G:
+    the CLI's witt-sigma and witt-tau presets."""
     if not (isinstance(E, MatrixGroup) and isinstance(G, MatrixGroup)):
         raise InputError("witt presets need matrix groups")
-    return {e: witt_tau(e, G.modulus) for e in E}
-
-
-def witt_sigma_table(E: MatrixGroup, G: MatrixGroup, p: int) -> dict:
-    """The table of witt_sigma on E, 2x2 matrices modulo p times G's modulus."""
-    if not (isinstance(E, MatrixGroup) and isinstance(G, MatrixGroup)):
-        raise InputError("witt presets need matrix groups")
+    if p is None:
+        return _rule_hom(E, G, lambda e, m=G.modulus: (witt_tau(e, m),))
     if E.size != 2 or G.size != 2 or E.modulus != G.modulus * p:
         raise InputError("witt presets need 2x2 groups with E modulus = p * G modulus")
-    return {e: witt_sigma(e, p, G.modulus) for e in E}
+    return _rule_hom(E, G, lambda e, m=G.modulus: (witt_sigma(e, p, m),))
 
 
 def build_witt_zip(config: WittZipConfig) -> tuple:
@@ -110,14 +107,14 @@ def build_witt_zip(config: WittZipConfig) -> tuple:
     lower-left entry in pZ has unit diagonal entries, so it factors as
     lower unipotent * diagonal * upper unipotent.
 
-    One graph closure builds and certifies E, tau and sigma.  The triples
-    (g, tau(g), sigma(g)) of these generators, read off witt_tau and
-    witt_sigma, generate a subgroup H of E x G x G, and the closure tests
-    every point of H past the identity against the two formulas; the
-    identity is tested here.  So H lies inside the graph of the formulas,
-    where no two points share a first coordinate: H is that graph over E,
-    its first coordinates, and both formulas are homomorphisms on E (see
-    ``_graph``).  In particular the divided conjugation is well defined.
+    One graph closure builds and certifies E, tau and sigma: the rule
+    e -> (witt_tau(e), witt_sigma(e)) is certified on these generators, in
+    GL2(Z/p^n) (see ``_certify``).  The triples (g, tau(g), sigma(g)) at
+    the generators generate a subgroup H of E x G x G inside the graph of
+    the formulas, where no two points share a first coordinate: H is that
+    graph over E, its first coordinates, and both formulas are
+    homomorphisms on E.  In particular the divided conjugation is well
+    defined.
     """
     p, n = config.p, config.n
     pn = p**n
@@ -126,11 +123,7 @@ def build_witt_zip(config: WittZipConfig) -> tuple:
     gens = [(1, 1, 0, 1), (1, 0, p, 1)] + [(u, 0, 0, 1) for u in units] + [(1, 0, 0, u) for u in units]
     ambient = MatrixGroup(2, pn, [(1, 0, 0, 1)])
     G = MatrixGroup.general_linear(2, m)
-    on_graph = lambda x: x[1] == witt_tau(x[0], m) and x[2] == witt_sigma(x[0], p, m)
-    if not on_graph((ambient.identity, G.identity, G.identity)):
-        raise InputError("the Witt formulas do not send 1 to 1")
-    points = [(g, witt_tau(g, m), witt_sigma(g, p, m)) for g in gens]
-    tau, sigma = _graph(ambient, [G, G], points, on_graph)
+    tau, sigma = _certify(ambient, [G, G], lambda e: (witt_tau(e, m), witt_sigma(e, p, m)), gens)
     E = ambient.restrict(tau)
     if E.order != config.e_order:
         raise InvariantViolation(f"Witt E has order {E.order}, expected {config.e_order}")
@@ -151,7 +144,7 @@ def _tau_surjective() -> ZipDatum:
 
 def _c2cube_projection() -> ZipDatum:
     c2cube = CayleyTableGroup([[i ^ j for j in range(8)] for i in range(8)])
-    project = Homomorphism(c2cube, c2cube, {v: v & 0b011 for v in c2cube})
+    project = _rule_hom(c2cube, c2cube, lambda v: (v & 0b011,))
     return ZipDatum(c2cube, c2cube, inclusion_hom(c2cube, c2cube), project)
 
 

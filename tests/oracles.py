@@ -47,7 +47,7 @@ def lattice_e_infinity(z):
     best = frozenset([z.E.identity])
     candidates = []
     for sub in all_subgroups(z.E):
-        if {z.sigma(e) for e in sub} <= {z.tau(e) for e in sub}:
+        if {z.sigma.table[e] for e in sub} <= {z.tau.table[e] for e in sub}:
             candidates.append(sub)
             if len(sub) > len(best):
                 best = sub
@@ -84,7 +84,7 @@ def naive_fine_orbits(z):
             fresh = []
             for g in frontier:
                 for e in z.E.elements:
-                    y = z.G.mul(z.G.mul(z.tau(e), g), z.G.inv(z.sigma(e)))
+                    y = z.G.mul(z.G.mul(z.tau.table[e], g), z.G.inv(z.sigma.table[e]))
                     if y not in orbit:
                         orbit.add(y)
                         fresh.append(y)
@@ -144,7 +144,7 @@ def naive_zip_classes(z):
         x = min(pending)
         ginf = naive_refinement_chain(z, x)[2]
         members = frozenset(
-            G.mul(G.mul(z.tau(e), G.mul(g, x)), G.inv(z.sigma(e)))
+            G.mul(G.mul(z.tau.table[e], G.mul(g, x)), G.inv(z.sigma.table[e]))
             for e in z.E.elements
             for g in ginf
         )
@@ -161,10 +161,16 @@ def naive_class_witness(z, x, ginf, y):
     G = z.G
     xinv = G.inv(x)
     for e in z.E.elements:
-        g = G.mul(G.mul(G.inv(z.tau(e)), y), G.mul(z.sigma(e), xinv))
+        g = G.mul(G.mul(G.inv(z.tau.table[e]), y), G.mul(z.sigma.table[e], xinv))
         if g in ginf:
             return e, g
     return None
+
+
+def naive_conjugation_table(group, x, members) -> dict:
+    """h -> x * h * x^-1 for each h in members."""
+    xinv = group.inv(x)
+    return {h: group.mul(group.mul(x, h), xinv) for h in members}
 
 
 def naive_conjugate(group, members, x):
@@ -182,7 +188,7 @@ def naive_torsor_check(z, x):
     fibers = {}
     for e in E.elements:
         for g in ginf:
-            val = G.mul(G.mul(z.tau(e), G.mul(g, x)), G.inv(z.sigma(e)))
+            val = G.mul(G.mul(z.tau.table[e], G.mul(g, x)), G.inv(z.sigma.table[e]))
             fibers.setdefault(val, set()).add((e, g))
     expected = len(einf)
     for fiber in fibers.values():
@@ -191,10 +197,10 @@ def naive_torsor_check(z, x):
         e0, g0 = min(fiber)
         orbit = set()
         for eps in einf:
-            twisted = G.mul(G.mul(x, z.sigma(eps)), xinv)
+            twisted = G.mul(G.mul(x, z.sigma.table[eps]), xinv)
             pair = (
                 E.mul(e0, E.inv(eps)),
-                G.mul(G.mul(z.tau(eps), g0), G.inv(twisted)),
+                G.mul(G.mul(z.tau.table[eps], g0), G.inv(twisted)),
             )
             orbit.add(pair)
         if orbit != fiber:

@@ -126,6 +126,61 @@ def test_matrix_group_spec_with_witt_preset_homs(tmp_path, capsys):
     assert code == EXIT_OK
 
 
+GL2_Z3 = {"backend": "matrix", "size": 2, "modulus": 3, "generators": [[1, 1, 0, 1], [1, 0, 1, 1], [2, 0, 0, 1]]}
+
+
+@pytest.mark.parametrize(
+    "generators, message",
+    [
+        # [1,2,0,1] has order 2 over Z/4 and order 3 once reduced mod 3
+        ([[1, 2, 0, 1]], "map is not multiplicative at ([1,2,0,1], [1,2,0,1])"),
+        # [1,0,0,3] reduces to the singular [1,0,0,0] mod 3
+        ([[1, 0, 0, 3], [1, 0, 2, 1], [1, 1, 0, 1]], "homomorphism image outside the target carrier"),
+    ],
+    ids=["not-multiplicative", "image-outside-target"],
+)
+def test_witt_tau_preset_failures_name_the_fault(tmp_path, capsys, generators, message):
+    cfg = write_config(
+        tmp_path,
+        "tau.json",
+        {
+            "groups": {"E": {"backend": "matrix", "size": 2, "modulus": 4, "generators": generators}, "G": GL2_Z3},
+            "tau": {"type": "preset", "name": "witt-tau"},
+            "sigma": {"type": "trivial"},
+        },
+    )
+    code, out, err = run(capsys, "--config", str(cfg), "--command", "classes")
+    assert (code, out, err) == (EXIT_CONFIG, "", f"config error: {cfg}.tau: {message}\n")
+
+
+def test_explicit_witt_presets_match_the_witt_preset_kind(tmp_path, capsys):
+    # witt-p2-n3's E, generated by the unipotents and diagonal units of
+    # (Z/8)^* = <3, 5>, and its G = GL2(Z/4)
+    e_gens = [[1, 1, 0, 1], [1, 0, 2, 1], [3, 0, 0, 1], [5, 0, 0, 1], [1, 0, 0, 3], [1, 0, 0, 5]]
+    g_gens = [[1, 1, 0, 1], [1, 0, 1, 1], [3, 0, 0, 1]]
+    explicit = write_config(
+        tmp_path,
+        "explicit.json",
+        {
+            "groups": {
+                "E": {"backend": "matrix", "size": 2, "modulus": 8, "generators": e_gens},
+                "G": {"backend": "matrix", "size": 2, "modulus": 4, "generators": g_gens},
+            },
+            "tau": {"type": "preset", "name": "witt-tau"},
+            "sigma": {"type": "preset", "name": "witt-sigma", "p": 2},
+        },
+    )
+    preset = write_config(tmp_path, "preset.json", {"preset": {"kind": "witt", "p": 2, "n": 3}})
+    docs = []
+    for cfg in (explicit, preset):
+        code, _, _ = run(capsys, "--config", str(cfg), "--command", "classes", "--out", str(tmp_path / cfg.stem))
+        assert code == EXIT_OK
+        docs.append(json.loads((tmp_path / cfg.stem / "classes.json").read_text())["classes"])
+    # sizes, E_inf digests, G_inf lists, members and witnesses alike
+    assert docs[0] == docs[1]
+    assert [c["size"] for c in docs[0]] == [32, 64]
+
+
 def test_zoo_preset_config(tmp_path, capsys):
     cfg = write_config(tmp_path, "zoo.json", {"preset": {"kind": "zoo", "entry": "s3-mixed"}})
     code, out, _ = run(capsys, "--config", str(cfg), "--command", "orbits")

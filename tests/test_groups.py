@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from zipcalc import groups
+from zipcalc import groups, zoo
 from zipcalc import (
     CayleyTableGroup,
     Homomorphism,
@@ -259,7 +259,7 @@ def test_witt_image_and_preimage_shapes(witt23):
 @given(st.data())
 def test_image_preimage_monotone(s4, data):
     x = (1, 2, 3, 0)
-    h = Homomorphism(s4, s4, {a: s4.conjugate(x, a) for a in s4})
+    h = conjugation_hom(s4, x)
     small = closure(s4, [s4.elements[data.draw(st.integers(0, s4.order - 1))]])
     big_gen = s4.elements[data.draw(st.integers(0, s4.order - 1))]
     big = closure(s4, list(small.members) + [big_gen])
@@ -300,7 +300,7 @@ def test_constructed_homs_pass_the_naive_oracle(zoo):
     for name, z in zoo.items():
         E, G = z.E, z.G
         x = G.elements[-1]
-        images = [G.conjugate(x, g) for g in E.generators]
+        images = list(oracles.naive_conjugation_table(G, x, E.generators).values())
         for source, h in [
             (E, inclusion_hom(E, G)),
             (E, trivial_hom(E, G)),
@@ -329,6 +329,96 @@ def test_hom_from_generator_images_runs_one_closure(s3, monkeypatch):
     h = hom_from_generator_images(s3, s3, [(1, 0, 2), (1, 2, 0)], [(1, 0, 2), (1, 2, 0)])
     assert len(calls) == 1
     assert h.table == {a: a for a in s3}
+
+
+def rule_homs(witt22, s4):
+    """(name, builder, source, naive image) for each map given by a rule:
+    the inclusion and trivial maps of a C4 into S4, a conjugation of S4,
+    and the two Witt presets on witt-p2-n2's E and G."""
+    z, _ = witt22
+    E, G = z.E, z.G
+    sub = closure(s4, [(1, 2, 3, 0)]).as_group()
+    x = (1, 0, 3, 2)
+    conjugate = oracles.naive_conjugation_table(s4, x, s4)
+    # lift to Z, conjugate by diag(2, 1) exactly, reduce one level
+    lifted_sigma = lambda e: tuple(v % 2 for v in (e[0], 2 * e[1], e[2] // 2, e[3]))
+    return [
+        ("inclusion", lambda: inclusion_hom(sub, s4), sub, lambda a: a),
+        ("trivial", lambda: trivial_hom(sub, s4), sub, lambda a: s4.identity),
+        ("conjugation", lambda: conjugation_hom(s4, x), s4, conjugate.__getitem__),
+        ("witt-tau", lambda: zoo.witt_hom(E, G), E, lambda e: tuple(v % 2 for v in e)),
+        ("witt-sigma", lambda: zoo.witt_hom(E, G, 2), E, lifted_sigma),
+    ]
+
+
+def test_rule_homs_run_one_closure_and_match_their_rule(witt22, s4, monkeypatch):
+    # the graph closure is the whole certificate: the rule is not tabulated
+    # over the source first, and no table certificate follows
+    mulclose = groups._mulclose
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return mulclose(*args, **kwargs)
+
+    cases = rule_homs(witt22, s4)
+    for _, _, source, _ in cases:
+        source.generators  # the certificate reads them; their own closure is not its
+    monkeypatch.setattr(groups, "_mulclose", counted)
+    for name, build, source, naive in cases:
+        calls.clear()
+        h = build()
+        assert len(calls) == 1, name
+        assert h.table == {a: naive(a) for a in source.elements}, name
+
+
+def test_a_rule_is_read_once_at_each_element(s4):
+    # at the identity, at each generator and at each product the closure
+    # tests; the closure does not test the generators again
+    read = []
+
+    def rule(a):
+        read.append(a)
+        return (a,)
+
+    groups._rule_hom(s4, s4, rule)
+    assert sorted(read) == list(s4.elements)
+
+
+def test_conjugation_hom_inverts_once(s4, monkeypatch):
+    inv = PermutationGroup.inv
+    inverted = []
+    monkeypatch.setattr(PermutationGroup, "inv", lambda self, a: inverted.append(a) or inv(self, a))
+    conjugation_hom(s4, (1, 2, 3, 0))
+    assert inverted == [(1, 2, 3, 0)]
+
+
+def test_rule_hom_tables_hold_the_groups_own_elements(witt22, s4):
+    # keys and values are the element values the source and target already
+    # hold, not copies the closure made, so a rule-built table retains no
+    # more memory than a tabulation of the rule over the source would
+    z, _ = witt22
+    homs = [build() for _, build, _, _ in rule_homs(witt22, s4)] + [z.tau, z.sigma]
+    for h in homs:
+        keys = dict(zip(h.source.elements, h.source.elements))
+        values = dict(zip(h.target.elements, h.target.elements))
+        assert all(a is keys[a] and b is values[b] for a, b in h.table.items()), h
+
+
+def test_hom_keeps_its_own_copy_of_the_table(s3):
+    d = {a: a for a in s3}
+    h = Homomorphism(s3, s3, d)
+    d[(1, 0, 2)] = (1, 2, 0)
+    del d[s3.identity]
+    assert h.table == {a: a for a in s3}
+
+
+def test_a_rule_hom_names_the_key_first_failing_pair(s4):
+    # the identity on 1 and s = (0 1 2 3), trivial elsewhere: f(s*s) = 1 but
+    # f(s)*f(s) = s^2; the pair is searched for only once the closure fails
+    sub = closure(s4, [(1, 2, 3, 0)]).as_group()
+    with pytest.raises(InputError, match=r"^map is not multiplicative at \(\(0 1 2 3\), \(0 1 2 3\)\)$"):
+        groups._rule_hom(sub, s4, lambda a: (a if a in ((0, 1, 2, 3), (1, 2, 3, 0)) else s4.identity,))
 
 
 def test_a_target_that_is_no_group_is_an_input_error(s3):
