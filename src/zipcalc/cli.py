@@ -121,9 +121,10 @@ def _parse_element(group: FiniteGroup, literal, where: str):
         _fail(where, str(exc))
 
 
-def _build_hom(spec, E: FiniteGroup, G: FiniteGroup, where: str) -> Homomorphism:
-    if not isinstance(spec, dict):
-        _fail(where, "hom spec must be an object")
+def _build_hom(spec: dict, E: FiniteGroup, G: FiniteGroup, where: str) -> Homomorphism:
+    """The homomorphism E -> G that a hom spec describes; _get has already
+    checked that the spec is an object.  Every branch returns a map with
+    source E and target G, so ZipDatum(E, G, tau, sigma) accepts any two."""
     kind = _get(spec, where, "type", str)
     try:
         if kind == "identity":
@@ -232,10 +233,7 @@ def _build_datum(cfg: dict, where: str, max_order: int | None) -> ZipDatum:
     G = _build_group(groups["G"], f"{where}.groups.G", max_order)
     tau = _build_hom(_get(cfg, where, "tau", dict), E, G, f"{where}.tau")
     sigma = _build_hom(_get(cfg, where, "sigma", dict), E, G, f"{where}.sigma")
-    try:
-        return ZipDatum(E, G, tau, sigma)
-    except InputError as exc:
-        _fail(where, str(exc))
+    return ZipDatum(E, G, tau, sigma)
 
 
 def load_job(config_path: Path, max_order: int | None = None) -> Job:

@@ -700,8 +700,9 @@ class Homomorphism:
     of source x target.  The graph certificate closes the points (s, f(s))
     for s in the source's greedy generating set S with the graph as carrier:
     the closure projects onto the source, so it is the whole graph unless a
-    product leaves it first (see ``_certify``).  Preimage queries are then
-    plain set scans.
+    product leaves it first (see ``_certify``).  The table kept is the one
+    that closure builds, on the groups' own element values, not the caller's
+    dict.  Preimage queries are then plain set scans.
     """
 
     def __init__(self, source: FiniteGroup, target: FiniteGroup, table: dict):
@@ -709,8 +710,8 @@ class Homomorphism:
             raise InputError("homomorphism table must cover the source carrier exactly")
         if not target.element_set.issuperset(table.values()):
             raise InputError("homomorphism image outside the target carrier")
-        self.source, self.target, self.table = source, target, dict(table)
-        _certify(source, [target], lambda a: (self.table[a],))
+        self.source, self.target = source, target
+        (self.table,) = _certify(source, [target], lambda a: (table[a],))
 
     @classmethod
     def _certified(cls, source: FiniteGroup, target: FiniteGroup, table: dict) -> "Homomorphism":

@@ -71,7 +71,8 @@ class ZipDatum:
         return d
 
     def __repr__(self):
-        return f"<ZipDatum |E|={self.E.order} |G|={self.G.order}>"
+        # |P|, not |E|: a derived datum's E is built on first use
+        return f"<ZipDatum |P|={len(self._pairs)} |G|={self.G.order}>"
 
     # -- the pair core ----------------------------------------------------------
 

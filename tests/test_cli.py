@@ -900,3 +900,54 @@ def test_witt_tau_preset_needs_matrix_groups(tmp_path, capsys):
     code, _, err = run(capsys, "--config", str(cfg), "--command", "classes")
     assert code == EXIT_CONFIG
     assert err == f"config error: {cfg}.tau: witt presets need matrix groups\n"
+
+
+def _refused_config(tmp_path, payload):
+    """The config path of a refusal case: none, a directory, or a file holding payload."""
+    if payload == "missing":
+        return tmp_path / "absent.json"
+    if payload == "directory":
+        return tmp_path
+    return write_config(tmp_path, "refused.json", payload)
+
+
+def _explicit(**fields):
+    return {"groups": {"E": PERM3, "G": PERM3}, "tau": {"type": "trivial"}, "sigma": {"type": "trivial"}, **fields}
+
+
+Z4_UNIPOTENTS = {"backend": "matrix", "size": 2, "modulus": 4, "generators": [[1, 1, 0, 1], [1, 0, 1, 1]]}
+
+
+@pytest.mark.parametrize(
+    "payload, path, message",
+    [
+        pytest.param("missing", "", "cannot read config: ", id="missing-file"),
+        pytest.param("directory", "", "cannot read config: ", id="directory"),
+        pytest.param(_explicit(groups={"E": {"backend": "quaternion"}, "G": PERM3}), ".groups.E.backend",
+                     "unknown backend 'quaternion'", id="unknown-backend"),
+        pytest.param(_explicit(tau={"type": "surjection"}), ".tau.type", "unknown hom type 'surjection'",
+                     id="unknown-hom-type"),
+        pytest.param(_explicit(tau={"type": "preset", "name": "witt-rho"}), ".tau.name",
+                     "unknown hom preset 'witt-rho'", id="unknown-hom-preset"),
+        pytest.param({"preset": {"kind": "zoo", "entry": "s3-mixed"}, "out": 5}, ".out",
+                     "out must be a directory path string", id="out-not-a-string"),
+        pytest.param({"preset": [1]}, ".preset", "preset must be an object", id="preset-not-an-object"),
+        pytest.param(_explicit(sigma={"type": "preset", "name": "witt-sigma", "p": 2}), ".sigma",
+                     "witt presets need matrix groups", id="witt-sigma-on-permutations"),
+        pytest.param(_explicit(groups={"E": Z4_UNIPOTENTS, "G": GL2F2},
+                               sigma={"type": "preset", "name": "witt-sigma", "p": 3}), ".sigma",
+                     "witt presets need 2x2 groups with E modulus = p * G modulus", id="witt-sigma-moduli"),
+        pytest.param(_explicit(groups={"E": Z4_UNIPOTENTS, "G": GL2F2},
+                               sigma={"type": "preset", "name": "witt-sigma", "p": 2}), ".sigma",
+                     "witt-sigma needs lower-left entries divisible by p", id="witt-sigma-lower-left"),
+    ],
+)
+def test_config_refusals_exit_two_with_their_message(tmp_path, capsys, payload, path, message):
+    cfg = _refused_config(tmp_path, payload)
+    code, out, err = run(capsys, "--config", str(cfg), "--command", "classes")
+    assert (code, out) == (EXIT_CONFIG, "")
+    expected = f"config error: {cfg}{path}: {message}"
+    if message.endswith(": "):  # the OS error text follows
+        assert err.startswith(expected) and err.count("\n") == 1
+    else:
+        assert err == expected + "\n"

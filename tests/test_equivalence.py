@@ -23,6 +23,7 @@ from zipcalc import (
     fine_orbits,
     groupoid_equivalence_check,
     inclusion_hom,
+    refine,
     refine_to_stationary,
     refinement_bijection_check,
     run_verification,
@@ -407,6 +408,18 @@ def test_verify_and_classes_build_no_subset_of_e(e_member_builds):
     assert e_member_builds == []
     # the counter sees the builds a report makes
     refine_to_stationary(twist(z, x)).e_infinity
+    assert len(e_member_builds) == 1
+
+
+def test_repr_of_a_refined_twist_builds_no_subset_of_e(e_member_builds):
+    z, _ = build_witt_zip(WittZipConfig(2, 3))
+    # the twist by (1,1,0,1) refines to half of its pairs, so its E is a
+    # proper subset of the root's
+    d = refine(twist(z, (1, 1, 0, 1)))
+    assert repr(d) == "<ZipDatum |P|=32 |G|=32>"
+    assert e_member_builds == []
+    # the counter sees the build that |E| makes
+    assert d.E.order == 256
     assert len(e_member_builds) == 1
 
 

@@ -396,9 +396,11 @@ def test_conjugation_hom_inverts_once(s4, monkeypatch):
 def test_rule_hom_tables_hold_the_groups_own_elements(witt22, s4):
     # keys and values are the element values the source and target already
     # hold, not copies the closure made, so a rule-built table retains no
-    # more memory than a tabulation of the rule over the source would
+    # more memory than a tabulation of the rule over the source would; a
+    # table hom keeps the closure's table, not the copies it was given
     z, _ = witt22
-    homs = [build() for _, build, _, _ in rule_homs(witt22, s4)] + [z.tau, z.sigma]
+    copied = Homomorphism(z.E, z.G, {tuple(list(e)): tuple(list(z.tau.table[e])) for e in z.E})
+    homs = [build() for _, build, _, _ in rule_homs(witt22, s4)] + [z.tau, z.sigma, copied]
     for h in homs:
         keys = dict(zip(h.source.elements, h.source.elements))
         values = dict(zip(h.target.elements, h.target.elements))
