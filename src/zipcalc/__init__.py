@@ -22,7 +22,6 @@ _EXPORTS = {
         "PermutationGroup",
         "Subgroup",
         "closure",
-        "conjugation_hom",
         "double_cosets",
         "hom_from_generator_images",
         "inclusion_hom",

@@ -221,9 +221,11 @@ def _build_datum(cfg: dict, where: str, max_order: int | None) -> ZipDatum:
         if kind == "zoo":
             entry = _get(preset, f"{where}.preset", "entry", str)
             try:
-                return zoo_entry(entry)
+                z = zoo_entry(entry)
             except InputError as exc:
                 _fail(f"{where}.preset.entry", str(exc))
+            _enforce_max_order(max(z.E.order, z.G.order), max_order)
+            return z
         _fail(f"{where}.preset.kind", f"unknown preset kind {kind!r}")
 
     groups = _get(cfg, where, "groups", dict)
@@ -237,9 +239,10 @@ def _build_datum(cfg: dict, where: str, max_order: int | None) -> ZipDatum:
 
 
 def load_job(config_path: Path, max_order: int | None = None) -> Job:
-    """Parse a config into a job.  With max_order, a preset whose closed-form
-    carrier order exceeds it, or a group spec whose closure would, is refused
-    before anything that large is enumerated."""
+    """Parse a config into a job.  With max_order, a Witt preset whose
+    closed-form carrier order exceeds it, or a group spec whose closure
+    would, is refused before anything that large is enumerated, and a zoo
+    preset, of at most 24 elements, once it is built."""
     cfg, _, seed, _, _ = _read_config(config_path)
     where = str(config_path)
     name = cfg.get("name")
@@ -386,7 +389,6 @@ def main(argv=None) -> int:
                 raise ConfigError('no command given: pass --command or set "command" in the config')
             if job is None:
                 raise ConfigError(f"--config is required for the {command} command")
-            _enforce_max_order(max(job.datum.E.order, job.datum.G.order), args.max_order)
             z = job.datum
             if literal is not None:
                 z = twist(z, _parse_element(z.G, literal, where))

@@ -25,6 +25,9 @@ and at the generators of G_1 only: for each pair, the g where it holds form
 a centralizer, a subgroup (Holt, Eick and O'Brien, ch. 4).
 Elements of E appear only as witnesses: those a check is given, and the
 key-minimal element of each root fiber that the groupoid check conjugates.
+verify gives the witnessed checks the key-minimal elements of two root
+fibers drawn from the pair table; on zip data a witness's verdict depends
+only on its fiber, a coset of K.
 Every set of E's elements a check compares is a union of fibers, so it is
 compared as a set of root pairs, and no subset of E is built.
 """

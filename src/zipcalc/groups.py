@@ -753,13 +753,6 @@ def trivial_hom(source: FiniteGroup, target: FiniteGroup) -> Homomorphism:
     return _rule_hom(source, target, lambda a: (target.identity,))
 
 
-def conjugation_hom(group: FiniteGroup, x) -> Homomorphism:
-    """The inner automorphism a -> x * a * x^-1."""
-    if x not in group:
-        raise InputError("conjugating element outside the carrier")
-    return _rule_hom(group, group, lambda a, mul=group.mul, x_inv=group.inv(x): (mul(mul(x, a), x_inv),))
-
-
 def hom_from_generator_images(source: FiniteGroup, target: FiniteGroup, generators, images) -> Homomorphism:
     """The homomorphism sending each generator to its image, certified by one
     graph closure: the points (generator, image) generate a subgroup of

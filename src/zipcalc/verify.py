@@ -36,11 +36,23 @@ class CheckResult(namedtuple("CheckResult", "name passed detail", defaults=("",)
 def run_verification(z: ZipDatum, *, seed: int = 0) -> list:
     """Run every structural cross-check on one datum.
 
-    Sampled checks draw deterministically from the sorted carriers, so the
-    battery gives identical results on identical inputs.
+    Sampled checks draw deterministically, so the battery gives identical
+    results on identical inputs: x and y from the sorted G and tau-image,
+    and each witness (e, et) as the key-minimal elements of two root fibers,
+    drawn uniformly from the pair table in its key order.  Every fiber is a
+    coset of K = ker tau ∩ ker sigma, so a uniform fiber is the fiber of a
+    uniform e in E, and both witnessed checks read e and et only through
+    their pairs and their fibers; no element of E is listed for the draw.
     """
     rng = random.Random(seed)
     results = []
+    root_pairs, fibers = list(z._pairs), z._root._fibers
+
+    def witnessed(x):
+        """y = tau(e)*x*sigma(et) and the witnesses (e, et) of one draw."""
+        r, rt = (root_pairs[rng.randrange(len(root_pairs))] for _ in range(2))
+        y = z.G.mul(z.G.mul(z._pairs[r][0], x), z._pairs[rt][1])
+        return y, (fibers[r][0], fibers[rt][0])
 
     trace = refine_to_stationary(z)
     refined_trace = refine_to_stationary(refine(z))
@@ -74,10 +86,8 @@ def run_verification(z: ZipDatum, *, seed: int = 0) -> list:
     ok = True
     for _ in range(SAMPLES):
         x = carrier[rng.randrange(len(carrier))]
-        e = z.E.elements[rng.randrange(z.E.order)]
-        et = z.E.elements[rng.randrange(z.E.order)]
-        y = z.G.mul(z.G.mul(z.pair_of(e)[0], x), z.pair_of(et)[1])
-        ok = ok and twist_refine_identity_check(z, x, y, witnesses=(e, et))
+        y, witnesses = witnessed(x)
+        ok = ok and twist_refine_identity_check(z, x, y, witnesses=witnesses)
     results.append(CheckResult("twisted-subgroup-conjugation", ok, f"samples={SAMPLES}"))
 
     coarse = zip_classes(z)
@@ -109,10 +119,8 @@ def run_verification(z: ZipDatum, *, seed: int = 0) -> list:
 
     ok = True
     for r in roots:
-        e = z.E.elements[rng.randrange(z.E.order)]
-        et = z.E.elements[rng.randrange(z.E.order)]
-        y = z.G.mul(z.G.mul(z.pair_of(e)[0], r), z.pair_of(et)[1])
-        ok = ok and groupoid_equivalence_check(z, r, y, e, et)
+        y, witnesses = witnessed(r)
+        ok = ok and groupoid_equivalence_check(z, r, y, *witnesses)
     results.append(CheckResult("groupoid-equivalence", ok, f"roots={len(roots)}"))
 
     results.append(

@@ -25,7 +25,6 @@ from .groups import (
     _certify,
     _rule_hom,
     closure,
-    conjugation_hom,
     inclusion_hom,
     trivial_hom,
 )
@@ -138,8 +137,10 @@ def _subgroup_datum(G, generators, tau=inclusion_hom, sigma=inclusion_hom) -> Zi
 
 
 def _tau_surjective() -> ZipDatum:
-    s3 = PermutationGroup.symmetric(3)
-    return ZipDatum(s3, s3, inclusion_hom(s3, s3), conjugation_hom(s3, (1, 0, 2)))
+    """tau the identity of S3, sigma conjugation by a transposition x."""
+    s3, x = PermutationGroup.symmetric(3), (1, 0, 2)
+    mul, x_inv = s3.mul, s3.inv(x)
+    return ZipDatum(s3, s3, inclusion_hom(s3, s3), _rule_hom(s3, s3, lambda a: (mul(mul(x, a), x_inv),)))
 
 
 def _c2cube_projection() -> ZipDatum:

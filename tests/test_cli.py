@@ -553,6 +553,16 @@ def test_max_order_refuses_witt_preset_before_building(tmp_path, capsys, monkeyp
     assert err == "resource limit: carrier of order 605052 exceeds --max-order 100\n"
 
 
+def test_max_order_refuses_zoo_preset_before_the_missing_command(tmp_path, capsys):
+    # a datum error comes before the missing command, for a zoo preset as
+    # for a Witt preset or explicit groups; with a command, the transcript
+    # tests pin the same refusal
+    cfg = write_config(tmp_path, "s4.json", {"preset": {"kind": "zoo", "entry": "s4-cycle-pair"}})
+    code, out, err = run(capsys, "--config", str(cfg), "--max-order", "5")
+    assert (code, out) == (EXIT_RESOURCE, "")
+    assert err == "resource limit: carrier of order 24 exceeds --max-order 5\n"
+
+
 S8_GENERATORS = [[1, 0, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7, 0]]
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from functools import cached_property
 
@@ -29,6 +30,7 @@ from zipcalc import (
     run_verification,
     torsor_check,
     twist,
+    twist_refine_identity_check,
     zip_classes,
 )
 from zipcalc.groups import Partition
@@ -380,6 +382,31 @@ def test_groupoid_check_matches_naive_oracle_on_zip_data(zoo, witt22, witt23):
                 assert groupoid_equivalence_check(z, x, y, e, et) == expected, (name, x, e, et)
 
 
+def test_witnessed_checks_see_a_witness_only_through_its_fiber(zoo, witt22):
+    # verify draws each witness as the key-minimal element of a root fiber:
+    # on zip data every e, et in E give the verdicts of those minima, since
+    # a fiber is a coset of ker tau ∩ ker sigma
+    substitutions = 0
+    for name, z in [*zoo.items(), ("witt-p2-n2", witt22[0])]:
+        G, E, tau, sigma = z.G, z.E, z.tau.table, z.sigma.table
+        first = {}
+        for e in E.elements:
+            first.setdefault((tau[e], sigma[e]), e)
+        minimal = {e: first[tau[e], sigma[e]] for e in E}
+        for x in G:
+            verdicts = {}
+            for e, et in itertools.product(E.elements, repeat=2):
+                y = G.mul(G.mul(tau[e], x), sigma[et])
+                got = (
+                    twist_refine_identity_check(z, x, y, witnesses=(e, et)),
+                    groupoid_equivalence_check(z, x, y, e, et),
+                )
+                key = (minimal[e], minimal[et])
+                substitutions += key != (e, et)
+                assert verdicts.setdefault(key, got) == got, (name, x, e, et)
+    assert substitutions == 6048
+
+
 # -- verify stays on root pairs ----------------------------------------------------
 
 
@@ -405,6 +432,9 @@ def test_verify_and_classes_build_no_subset_of_e(e_member_builds):
     assert all(r.passed for r in run_verification(z))
     assert all(r.passed for r in run_verification(twist(z, x)))
     zip_classes(z)
+    # a derived datum's E is a proper subset of the root's: the twist by
+    # (1,1,0,1) refines to half of its pairs
+    assert all(r.passed for r in run_verification(refine(twist(z, (1, 1, 0, 1)))))
     assert e_member_builds == []
     # the counter sees the builds a report makes
     refine_to_stationary(twist(z, x)).e_infinity

@@ -171,7 +171,7 @@ def test_a_fresh_interpreter_that_ran_main_twice_freezes_once_at_exit(tmp_path):
 # every name the package exports
 EXPORTS = (
     "CayleyTableGroup FiniteGroup Homomorphism InputError InvariantViolation MatrixGroup "
-    "PermutationGroup Subgroup closure conjugation_hom "
+    "PermutationGroup Subgroup closure "
     "double_cosets hom_from_generator_images inclusion_hom trivial_hom "
     "RefinementTrace ZipDatum e_infinity_characterization_check is_tau_surjective refine "
     "refine_to_stationary twist twist_refine_identity_check "
