@@ -11,7 +11,9 @@ stable once tau is surjective in its datum: from there on the double
 quotients are single cosets and refinement keeps every pair and G, so the
 subtree is an identity chain sharing the node's datum.  Generations are
 materialized until every node is stable; classification walks the
-materialized part.
+materialized part, carrying an element of the double coset of r into the
+child's carrier by the transport table of the node's datum
+(ZipDatum.transport).
 
 Built from its parent, a node's datum is the one defined from the root: at
 generation g with accumulated product a it is refine^(g+1)(twist(z, a)).
@@ -135,28 +137,21 @@ def build_forest(z: ZipDatum) -> RepForest:
     return RepForest(top, tuple(generations), tuple(flags))
 
 
-def _transport(datum: ZipDatum, x, rep):
-    """tau(et * e) for witnesses x = tau(e) * rep * sigma(et), read off the
-    pair table: tau(e) = a runs over the tau-image in key order and et is
-    the key-minimal element of E with sigma(et) = rep^-1 * a^-1 * x, so the
-    choice is deterministic."""
-    G = datum.G
-    tau_by_sigma = datum.tau_by_sigma
-    rep_inv = G.inv(rep)
-    for a in datum.tau_image.elements:
-        tau_et = tau_by_sigma.get(G.mul(G.mul(rep_inv, G.inv(a)), x))
-        if tau_et is not None:
-            return G.mul(tau_et, a)
-    raise InvariantViolation("element escaped its own double coset")
-
-
 def classify(forest: RepForest, x) -> tuple:
     """The representative path of x, its entries (r_0, ..., r_N) walked down
     from the top node: at an unstable node the entry indexes the coset of
-    the current element in the node's double quotient, which then moves on
-    to its transport; at a stable node the entry is the identity.  r_0 thus
-    indexes the double coset of x, and the walk stops at the stable
-    generation."""
+    the current element in the node's double quotient, and the element
+    moves on to its transport, read off the node datum's table; at a stable
+    node the entry is the identity.  r_0 thus indexes the double coset of x,
+    and the walk stops at the stable generation.
+
+    The transport of y = tau(e) * r * sigma(et) is tau(et * e), for the
+    witnesses (e, et) that ZipDatum.transport records on its walk of the
+    double coset.  The path does not depend on that choice: by the
+    induction, any witnesses carry y, and every element of y's class, into
+    one class of the refined r-twist, the child's datum, and that datum's
+    double cosets are unions of its classes, so each later entry is fixed by
+    the class alone."""
     G = forest.datum.G
     if x not in G:
         raise InputError("element outside the carrier of G")
@@ -166,7 +161,7 @@ def classify(forest: RepForest, x) -> tuple:
             r = G.identity
         else:
             r = node.datum.double_quotient.rep_of[current]
-            current = _transport(node.datum, current, r)
+            current = node.datum.transport[current]
         entries.append(r)
         node = node.children[r]
     return tuple(entries)

@@ -42,8 +42,9 @@ class ZipDatum:
     The core is ``_pairs``: each pair of the root datum mapped to this
     datum's pair over the same fiber of E.  It iterates its root pairs in
     the key order of their fibers' key-minimal elements: ``_fibers`` walks
-    the sorted E, and twist and refine keep the order.  Instances are
-    immutable.
+    the sorted E, and twist and refine keep the order, which fixes the
+    witnesses verify draws.  A derived datum holds its root, its G and its
+    pair table; all else it computes from them.  Instances are immutable.
     """
 
     def __init__(self, E: FiniteGroup, G: FiniteGroup, tau: Homomorphism, sigma: Homomorphism):
@@ -64,7 +65,6 @@ class ZipDatum:
         d = object.__new__(cls)
         d.G = G
         d._root = parent._root
-        d._parent = parent
         d._pairs = pairs
         if tau_image is not None:
             d.tau_image = tau_image
@@ -146,13 +146,31 @@ class ZipDatum:
         return tuple(sorted(self._pairs.values()))
 
     @cached_property
-    def tau_by_sigma(self) -> dict:
-        """b -> tau(w) for w the key-minimal element of E with sigma(w) = b:
-        the first pair with second coordinate b in the pair table's order."""
-        out = {}
-        for a, b in self._pairs.values():
-            out.setdefault(b, a)
-        return out
+    def transport(self) -> dict:
+        """y in G -> tau(et * e) for witnesses e, et in E with
+        y = tau(e) * r * sigma(et), r the representative of y's double coset.
+
+        One walk of the double cosets from their representatives, by the
+        moves double_cosets makes, records the witnesses as it goes, as orbit
+        algorithms record words (Holt, Eick and O'Brien, ch. 4).  It carries
+        (tau(e), tau(et)) from (1, 1): left by a generator a of tau(E) gives
+        (a * tau(e), tau(et)), and right by a generator s of sigma(E) gives
+        (tau(e), tau(et) * t), t the first coordinate of a pair (t, s).
+        """
+        G, mul, pairs = self.G, self.G.mul, self._pairs.values()
+        moves = [(a, None, None) for a in self.tau_image.generating_set]
+        moves += [(None, s, next(t for t, b in pairs if b == s)) for s in self.sigma_image.generating_set]
+        carried = dict.fromkeys(self.double_quotient.representatives(), (G.identity, G.identity))
+        stack = list(carried)
+        while stack:
+            y = stack.pop()
+            tau_e, tau_et = carried[y]
+            for a, s, t in moves:
+                w = mul(a, y) if s is None else mul(y, s)
+                if w not in carried:
+                    carried[w] = (mul(a, tau_e), tau_et) if s is None else (tau_e, mul(tau_et, t))
+                    stack.append(w)
+        return {y: mul(tau_et, tau_e) for y, (tau_e, tau_et) in carried.items()}
 
     @cached_property
     def action_generators(self) -> tuple:
@@ -174,9 +192,8 @@ class ZipDatum:
 
     @cached_property
     def E(self) -> FiniteGroup:
-        if len(self._pairs) == len(self._parent._pairs):
-            return self._parent.E
-        return self._root.E.restrict(self._e_members)
+        root = self._root
+        return root.E if len(self._pairs) == len(root._pairs) else root.E.restrict(self._e_members)
 
 
 def twist(z: ZipDatum, x) -> ZipDatum:

@@ -167,6 +167,59 @@ def naive_class_witness(z, x, ginf, y):
     return None
 
 
+def naive_classifier(forest):
+    """classify(forest, .) with key-first witnesses found by brute force over
+    the tables of tau and sigma of z, the forest's datum, a root, not over
+    pair tables.
+
+    A node at generation g with accumulated product u holds
+    refine^(g+1)(twist(z, u)): its E is E_{g+1} of the u-twist's chain, with
+    E_0 = E and E_{i+1} = {e in E_i : sigma'(e) in tau(E_i)} for
+    sigma'(e) = u * sigma(e) * u^-1.  At an unstable node
+    y = tau(e) * r * sigma'(et) for r the representative of y in the node's
+    double quotient, e the key-first element of that E for which some et
+    qualifies and et the key-first one; y moves on to tau(et * e), computed
+    in E.
+    """
+    z = forest.datum
+    E, G = z.E, z.G
+    tau, sigma = z.tau.table, z.sigma.table
+    searches = {}
+
+    def search(node):
+        """E of the node's datum in key order, and sigma' value -> key-first et."""
+        u = node.accumulated
+        uinv = G.inv(u)
+        twisted = {e: G.mul(G.mul(u, sigma[e]), uinv) for e in E.elements}
+        members = set(E.elements)
+        for _ in range(node.generation + 1):
+            image = {tau[e] for e in members}
+            members = {e for e in members if twisted[e] in image}
+        first = {}
+        for et in sorted(members):
+            first.setdefault(twisted[et], et)
+        return sorted(members), first
+
+    def classify(x):
+        entries, node, current = [], forest.top, x
+        while node.children:
+            if node.stable:
+                r = G.identity
+            else:
+                r = node.datum.double_quotient.rep_of[current]
+                if node not in searches:
+                    searches[node] = search(node)
+                members, first = searches[node]
+                e, et = next((e, first[b]) for e in members
+                             if (b := G.mul(G.inv(G.mul(tau[e], r)), current)) in first)
+                current = tau[E.mul(et, e)]
+            entries.append(r)
+            node = node.children[r]
+        return tuple(entries)
+
+    return classify
+
+
 def naive_conjugation_table(group, x, members) -> dict:
     """h -> x * h * x^-1 for each h in members."""
     xinv = group.inv(x)

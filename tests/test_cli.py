@@ -926,6 +926,8 @@ def _explicit(**fields):
 
 
 Z4_UNIPOTENTS = {"backend": "matrix", "size": 2, "modulus": 4, "generators": [[1, 1, 0, 1], [1, 0, 1, 1]]}
+S3 = {"backend": "permutation", "degree": 3, "generators": [[1, 0, 2], [1, 2, 0]]}
+S4 = {"backend": "permutation", "degree": 4, "generators": [[1, 0, 2, 3], [1, 2, 3, 0]]}
 
 
 @pytest.mark.parametrize(
@@ -950,6 +952,18 @@ Z4_UNIPOTENTS = {"backend": "matrix", "size": 2, "modulus": 4, "generators": [[1
         pytest.param(_explicit(groups={"E": Z4_UNIPOTENTS, "G": GL2F2},
                                sigma={"type": "preset", "name": "witt-sigma", "p": 2}), ".sigma",
                      "witt-sigma needs lower-left entries divisible by p", id="witt-sigma-lower-left"),
+        pytest.param(_explicit(tau={"type": "generator-images", "generators": ["(0 1)"], "images": []}), ".tau",
+                     "generator and image lists differ in length", id="generator-images-lengths"),
+        pytest.param(_explicit(groups={"E": S3, "G": S4}, tau={"type": "inclusion"}), ".tau",
+                     "inclusion needs a sub-carrier of the ambient group", id="inclusion-s3-into-s4"),
+        pytest.param(_explicit(twist="(1 2)"), ".twist", "permutation '(1 2)' is not in this group",
+                     id="twist-permutation-outside"),
+        pytest.param(_explicit(twist="(0 1 0)"), ".twist", "repeated point in cycle '(0 1 0)'",
+                     id="twist-repeated-point"),
+        pytest.param(_explicit(groups={"E": Z4_UNIPOTENTS, "G": Z4_UNIPOTENTS}, twist=[1, 0, 0, 3]), ".twist",
+                     "matrix '[1,0,0,3]' is not in this group", id="twist-matrix-outside"),
+        pytest.param(_explicit(groups={"E": C2, "G": C2}, twist=5), ".twist", "index 5 is not in this group",
+                     id="twist-index-outside"),
     ],
 )
 def test_config_refusals_exit_two_with_their_message(tmp_path, capsys, payload, path, message):

@@ -5,16 +5,22 @@ import pytest
 import oracles
 import zipcalc.forest
 from zipcalc import (
+    Homomorphism,
     InputError,
     InvariantViolation,
+    MatrixGroup,
     WittZipConfig,
+    ZipDatum,
     build_forest,
     build_witt_zip,
     classify,
+    closure,
     forest_to_dot,
+    inclusion_hom,
     limit_bijection_check,
     refine,
     refinement_bijection_check,
+    trivial_hom,
     twist,
     zip_classes,
     zoo_entry,
@@ -160,6 +166,36 @@ def test_classify_lands_in_same_class(witt23):
         assert report.rep_of[y] == report.rep_of[x]
 
 
+def test_classify_matches_brute_force_witnesses(zoo, witt22, witt23, s4):
+    # the transport tables record one choice of witnesses, the oracle takes
+    # the key-first ones: the paths agree, as any witnesses give one class.
+    # A table that reverses one of its products still gives every path on
+    # the zoo and Witt data, but not on E = Sym{1,2,3} in S4 with sigma a
+    # conjugation
+    E = closure(s4, [(0, 1, 3, 2), (0, 2, 3, 1)]).as_group()
+    incl = inclusion_hom(E, s4)
+    conjugations = [ZipDatum(E, s4, incl, Homomorphism(E, s4, oracles.naive_conjugation_table(s4, c, E)))
+                    for c in s4]
+    for z in [*zoo.values(), witt22[0], witt23[0], *conjugations]:
+        forest = build_forest(z)
+        naive = oracles.naive_classifier(forest)
+        for x in z.G.elements:
+            assert classify(forest, x) == naive(x), x
+
+
+def test_a_second_limit_check_multiplies_nothing(witt23, monkeypatch):
+    # classification reads each node datum's transport table, built on the
+    # first pass; the second pass only looks elements up
+    z, _ = witt23
+    forest, report = build_forest(z), zip_classes(z)
+    assert limit_bijection_check(forest, report)
+    calls = []
+    mul = MatrixGroup.mul
+    monkeypatch.setattr(MatrixGroup, "mul", lambda self, a, b: calls.append(a) or mul(self, a, b))
+    assert limit_bijection_check(forest, report)
+    assert len(calls) == 0
+
+
 def test_limit_bijection_small_corpus(zoo):
     for name, z in zoo.items():
         forest = build_forest(z)
@@ -173,8 +209,6 @@ def test_limit_bijection_witt(witt22, witt23):
 
 
 def test_limit_bijection_random_permutation_data(s4):
-    from zipcalc import ZipDatum, closure, inclusion_hom, trivial_hom, Homomorphism
-
     sub = closure(s4, [(1, 2, 3, 0)]).as_group()
     incl = inclusion_hom(sub, s4)
     conj = Homomorphism(sub, s4, oracles.naive_conjugation_table(s4, (1, 0, 3, 2), sub))
@@ -219,8 +253,6 @@ def test_identity_rep_flags_record_nonminimal_carriers(witt22, zoo):
 def test_identity_flags_on_a_stable_matrix_root(gl2f2):
     # E = <[0,1,1,0]> in GL2(F2): the root [0,1,1,0] is stable at once, and
     # it and its identity child carry data whose carrier minimum is not 1
-    from zipcalc import ZipDatum, closure, inclusion_hom
-
     E = closure(gl2f2, [(0, 1, 1, 0)]).as_group()
     incl = inclusion_hom(E, gl2f2)
     z = ZipDatum(E, gl2f2, incl, incl)

@@ -85,6 +85,49 @@ def test_limit_bijection_check_fails_on_a_forged_report(forged):
     assert not limit_bijection_check(forest, bad)
 
 
+def reclassed(report, parts):
+    """A forged report of report's datum whose classes are parts, witness -> members."""
+    classes = {w: ZipClass(w, frozenset(members), None) for w, members in parts.items()}
+    rep_of = {m: w for w, c in classes.items() for m in c.members}
+    return ClassReport(report.datum, report.relation, Partition(classes, rep_of))
+
+
+def test_limit_bijection_check_fails_on_a_report_missing_a_class(witt22):
+    # classification is constant on the one class left; only the count of
+    # stable paths, two, tells the report is short
+    z, _ = witt22
+    report = zip_classes(z)
+    first = report.classes[0]
+    assert not limit_bijection_check(build_forest(z), reclassed(report, {first.witness: first.members}))
+
+
+def test_limit_bijection_check_fails_on_a_class_split_in_two(witt22):
+    # a class split into its witness and the rest, the other class dropped:
+    # two classes for two stable paths, each constant on its class, but
+    # both classify to one path
+    z, _ = witt22
+    report = zip_classes(z)
+    first = report.classes[0]
+    second = min(first.members - {first.witness})
+    parts = {first.witness: {first.witness}, second: first.members - {first.witness}}
+    assert not limit_bijection_check(build_forest(z), reclassed(report, parts))
+
+
+def test_refinement_bijection_check_fails_on_two_classes_merged(zoo):
+    # both classes in the double coset of (0 2 1) merged into one: that
+    # class is the only one meeting the coset, and the two refined classes
+    # both map into it
+    z = zoo["s3-reflection-pair"]
+    report, x = zip_classes(z), (0, 2, 1)
+    coset = z.double_quotient.part_of(x).members
+    inside = [c for c in report.classes if c.members & coset]
+    assert len(inside) == 2
+    parts = {c.witness: c.members for c in report.classes if c not in inside}
+    parts[inside[0].witness] = inside[0].members | inside[1].members
+    assert refinement_bijection_check(z, x, coarse=report)
+    assert not refinement_bijection_check(z, x, coarse=reclassed(report, parts))
+
+
 def test_e_infinity_characterization_fails_on_another_twists_trace(zoo):
     z = zoo["s4-cycle-pair"]
     e_inf = refine_to_stationary(z).e_infinity.members
