@@ -40,8 +40,10 @@ EXIT_CHECK = 3
 EXIT_RESOURCE = 4
 
 
-class ConfigError(InputError):
-    """A config file problem; the message names the failing config path."""
+class ConfigError(ValueError):
+    """A config file problem; the message names the failing config path.
+    Not an InputError, so a builder's ``except InputError``, which turns a
+    library error into a config error, lets it through."""
 
 
 class Job(namedtuple("Job", "name datum seed")):
@@ -91,8 +93,6 @@ def _build_group(spec, where: str, max_order: int | None = None) -> FiniteGroup:
             table = _get(spec, where, "table", list)
             check(len(table), "carrier order")
             return CayleyTableGroup(table)
-    except ConfigError:
-        raise
     except ResourceLimitExceeded as exc:
         raise ResourceLimitExceeded(f"{where}: {exc} exceeds --max-order {max_order}") from None
     except InputError as exc:
@@ -164,8 +164,6 @@ def _build_hom(spec: dict, E: FiniteGroup, G: FiniteGroup, where: str) -> Homomo
             if name == "witt-tau":
                 return witt_hom(E, G)
             _fail(f"{where}.name", f"unknown hom preset {name!r}")
-    except ConfigError:
-        raise
     except InputError as exc:
         _fail(where, str(exc))
     _fail(f"{where}.type", f"unknown hom type {kind!r}")

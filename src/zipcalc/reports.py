@@ -35,8 +35,8 @@ def members_digest(group, members) -> str:
 def _datum_descriptor(name: str, z: ZipDatum) -> dict:
     return {
         "name": name,
-        "e_backend": z.E.backend,
-        "e_order": z.E.order,
+        "e_backend": z._root.E.backend,
+        "e_order": len(z._e_members),
         "g_backend": z.G.backend,
         "g_order": z.G.order,
     }
@@ -54,7 +54,7 @@ def class_report_document(name: str, report: ClassReport) -> dict:
         }
         if c.trace is not None:
             entry["e_infinity_order"] = c.trace.e_infinity.order
-            entry["e_infinity_digest"] = members_digest(z.E, c.trace.e_infinity.elements)
+            entry["e_infinity_digest"] = members_digest(z._root.E, c.trace.e_infinity.elements)
             entry["g_infinity_order"] = c.trace.g_infinity.order
             entry["g_infinity"] = [fmt(m) for m in c.trace.g_infinity.elements]
         classes.append(entry)
@@ -81,7 +81,7 @@ def _stationary_document(kind: str, name: str, z: ZipDatum, trace: RefinementTra
         "kind": kind,
         "datum": _datum_descriptor(name, z),
         "stationary_index": trace.stationary_index,
-        "e_infinity": _subgroup_entry(z.E, trace.e_infinity, with_members),
+        "e_infinity": _subgroup_entry(z._root.E, trace.e_infinity, with_members),
         "g_infinity": _subgroup_entry(z.G, trace.g_infinity, with_members),
     }
 
@@ -93,7 +93,7 @@ def trace_document(name: str, z: ZipDatum, trace: RefinementTrace) -> dict:
         {
             "index": i,
             "e_order": e_i.order,
-            "e_digest": e_infinity_digest if e_i is trace.e_infinity else members_digest(z.E, e_i.elements),
+            "e_digest": e_infinity_digest if e_i is trace.e_infinity else members_digest(z._root.E, e_i.elements),
             "g_order": g_i.order,
             "g_digest": members_digest(z.G, g_i.elements),
         }

@@ -10,9 +10,10 @@ by x in G conjugates the second coordinate of every pair.  Refinement replaces
 G by G_1 = pr1(P) and keeps the pairs whose second coordinate lies in G_1;
 this is (sigma^-1(tau(E)), tau(E), tau, sigma).  Neither creates fibers: a
 derived datum maps each root pair it keeps to its own pair, and its E is the
-union of the kept root fibers, built on first use.  Only a root holds the
-maps tau and sigma on E; a derived datum is its root, its G and its pair
-table.
+union of the kept root fibers.  Only a root holds the maps tau and sigma on
+E; a derived datum is its root, its G and its pair table, and E-level data
+are read on the root's E, so a derived datum's own E is built only when a
+caller asks for it.
 
 Over finite carriers the refinement chain is decreasing and becomes
 stationary; the stationary E is the largest subgroup on which sigma maps into
@@ -92,8 +93,9 @@ class ZipDatum:
     @cached_property
     def _e_members(self) -> frozenset:
         """This datum's E as a set: the union of its root fibers, the root
-        carrier's own set when they are all of them.  Read by E and by a
-        trace's E-level subgroups, for reports and oracles only."""
+        carrier's own set when they are all of them.  Read by E, by a trace's
+        E-level subgroups and by report descriptors, for reports and oracles
+        only."""
         root = self._root
         if len(self._pairs) == len(root._pairs):
             return root.E.element_set
@@ -192,6 +194,11 @@ class ZipDatum:
 
     @cached_property
     def E(self) -> FiniteGroup:
+        """This datum's E as a group: the root's E when its pairs cover the
+        root's, else a restriction of it.  Kept as public API only, which
+        tests/test_acceptance.py reads as ``refine(d).E``: the library reads
+        E-level data on the root, through its E, ``_fibers`` and
+        ``_e_members``, and never builds a derived datum's E."""
         root = self._root
         return root.E if len(self._pairs) == len(root._pairs) else root.E.restrict(self._e_members)
 
@@ -224,12 +231,12 @@ class RefinementTrace(namedtuple("RefinementTrace", "data")):
     """The refinement chain of a zip datum down to its stationary point.
 
     ``data`` holds the datum of each stage; data[0] is the input datum.
-    ``stages[i]`` holds (E_i, G_i) as subgroups of the input datum's groups,
-    for i = 0..stationary_index; ``e_infinity`` is the stationary E and
-    ``g_infinity`` its tau-image (one step past the last stored G).  The
-    E-level subgroups are built on first use, and cached in the instance
-    ``__dict__``: the class declares no ``__slots__``.  The last stage's E
-    is ``e_infinity`` itself.
+    ``stages[i]`` holds (E_i, G_i) as subgroups of the root's E and of the
+    input datum's G, for i = 0..stationary_index; ``e_infinity`` is the
+    stationary E and ``g_infinity`` its tau-image (one step past the last
+    stored G).  The E-level subgroups are built on first use, and cached in
+    the instance ``__dict__``: the class declares no ``__slots__``.  The
+    last stage's E is ``e_infinity`` itself.
     """
 
     @property
@@ -242,12 +249,12 @@ class RefinementTrace(namedtuple("RefinementTrace", "data")):
 
     @cached_property
     def stages(self) -> tuple:
-        es = [Subgroup(self.data[0].E, d._e_members) for d in self.data[:-1]] + [self.e_infinity]
+        es = [Subgroup(self.data[0]._root.E, d._e_members) for d in self.data[:-1]] + [self.e_infinity]
         return tuple(zip(es, (Subgroup(self.data[0].G, d.G.element_set) for d in self.data)))
 
     @cached_property
     def e_infinity(self) -> Subgroup:
-        return Subgroup(self.data[0].E, self.data[-1]._e_members)
+        return Subgroup(self.data[0]._root.E, self.data[-1]._e_members)
 
     @cached_property
     def g_infinity(self) -> Subgroup:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import inspect
+import textwrap
+
 import pytest
 from hypothesis import settings
 
@@ -43,6 +46,23 @@ def twist_by_inverse(monkeypatch):
     twist = zipdata.twist
     for module in (equivalence, zipdata):
         monkeypatch.setattr(module, "twist", lambda z, x: twist(z, z.G.inv(x)))
+
+
+@pytest.fixture
+def transport_reversed(monkeypatch):
+    """A mutant: ZipDatum.transport returns tau(e) * tau(et), the product of
+    its witnesses' images in the wrong order; the rest of its source is
+    unchanged."""
+    from zipcalc import zipdata
+
+    source = textwrap.dedent(inspect.getsource(zipdata.ZipDatum.transport.func))
+    mutant = source.replace("mul(tau_et, tau_e) for y", "mul(tau_e, tau_et) for y")
+    assert mutant != source
+    namespace = {}
+    exec(mutant, vars(zipdata), namespace)
+    prop = namespace["transport"]
+    prop.__set_name__(zipdata.ZipDatum, "transport")
+    monkeypatch.setattr(zipdata.ZipDatum, "transport", prop)
 
 
 @pytest.fixture

@@ -820,6 +820,20 @@ def test_verify_command_passes_on_witt(witt22_config, tmp_path, capsys):
     assert len(doc["checks"]) == 9
 
 
+def test_verify_catches_a_reversed_transport_on_a_shipped_config(capsys, request):
+    # E = Sym{0,1,2} < S4, tau and sigma the inclusion: the built-in data
+    # classify right under the mutant, so only this config shows it to verify
+    config = str(Path(__file__).resolve().parent.parent / "configs" / "s3-in-s4.json")
+    code, out, _ = run(capsys, "--config", config, "--command", "verify")
+    assert code == EXIT_OK
+    assert sum(line.startswith("PASS  ") for line in out.splitlines()) == 9
+    request.getfixturevalue("transport_reversed")
+    code, out, _ = run(capsys, "--config", config, "--command", "verify")
+    assert code == EXIT_CHECK
+    assert "FAIL  forest-limit  [leaves=4 classes=4]" in out.splitlines()
+    assert out.count("FAIL") == 1
+
+
 def test_verify_exit_code_reflects_failures(witt22_config, tmp_path, capsys, monkeypatch):
     from zipcalc.verify import CheckResult
 

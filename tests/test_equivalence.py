@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import forged_hom
 from zipcalc import (
+    FiniteGroup,
     Homomorphism,
     InputError,
     MatrixGroup,
@@ -34,6 +35,7 @@ from zipcalc import (
     zip_classes,
 )
 from zipcalc.groups import Partition
+from zipcalc.reports import class_report_document, infinity_document, trace_document
 
 
 # -- fine orbits -----------------------------------------------------------------
@@ -451,6 +453,38 @@ def test_repr_of_a_refined_twist_builds_no_subset_of_e(e_member_builds):
     # the counter sees the build that |E| makes
     assert d.E.order == 256
     assert len(e_member_builds) == 1
+
+
+@pytest.fixture
+def group_builds(monkeypatch):
+    """Counts the constructions of FiniteGroup, in every backend."""
+    builds = []
+    init = FiniteGroup.__init__
+
+    def counted(self, *args):
+        builds.append(type(self))
+        init(self, *args)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", counted)
+    return builds
+
+
+def test_reports_on_a_refined_twist_build_no_group(group_builds):
+    # a derived datum's E-level report data are read on the root's E, so the
+    # reports build no E of their own
+    z, _ = build_witt_zip(WittZipConfig(2, 3))
+    # the twist by (1,1,0,1) refines to half of its pairs, so its E is a
+    # proper subset of the root's
+    d = refine(twist(z, (1, 1, 0, 1)))
+    trace, report = refine_to_stationary(d), zip_classes(d)
+    built = len(group_builds)
+    trace_document("d", d, trace)
+    infinity_document("d", d, trace)
+    class_report_document("d", report)
+    assert len(group_builds) == built
+    # the counter sees the construction that d.E makes
+    assert d.E.order == 256
+    assert len(group_builds) == built + 1
 
 
 def test_twisted_verify_builds_no_sigma_table(witt23, monkeypatch):
