@@ -6,6 +6,9 @@ indices), permutations (image tuples on 0..degree-1), and invertible square
 matrices over Z/m (row-major entry tuples).  Elements are plain hashable
 values whose natural sort order doubles as the canonical key order, so every
 representative choice made below is deterministic across runs and backends.
+Matrices of every size multiply by one function generated per (size, m),
+with the entries unpacked and m a constant; sizes above MAX_MATRIX_SIZE are
+refused, since that function's source has size^3 terms.
 
 All types are immutable once constructed and safe to share between workers.
 """
@@ -15,7 +18,7 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import namedtuple
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd
 
 class InputError(ValueError):
@@ -395,13 +398,15 @@ class PermutationGroup(FiniteGroup):
         if not (s.startswith("(") and s.endswith(")")):
             raise InputError(f"cannot parse permutation literal {text!r}")
         out = list(range(self.degree))
+        seen = set()  # cycles of one literal are disjoint: a shared point is refused, not composed
         for body in s[1:-1].split(")("):
             try:
                 points = [int(tok) for tok in body.split()]
             except ValueError:
                 raise InputError(f"cannot parse permutation literal {text!r}") from None
-            if len(points) != len(set(points)):
+            if len(points) != len(set(points)) or not seen.isdisjoint(points):
                 raise InputError(f"repeated point in cycle {text!r}")
+            seen.update(points)
             for p in points:
                 if not 0 <= p < self.degree:
                     raise InputError(f"point {p} outside 0..{self.degree - 1}")
@@ -470,6 +475,39 @@ def _bareiss(rows, adjugate=False):
     return sign * prev, [[sign * v for v in row[n:]] for row in m]
 
 
+MAX_MATRIX_SIZE = 16
+
+
+def _matrix_identity(size: int, modulus: int) -> tuple:
+    """The identity of GL_size(Z/modulus), row-major; an InputError, before
+    anything of size^2 is built, for a space the backend does not take.
+
+    A size past MAX_MATRIX_SIZE is refused because the space's multiply is
+    generated source with size^3 terms: at 30 it takes about 0.1 s and
+    30 MiB to generate, and the cost grows as size^3.
+    """
+    if size < 1 or modulus < 2:
+        raise InputError("matrix backend needs size >= 1 and modulus >= 2")
+    if size > MAX_MATRIX_SIZE:
+        raise InputError(f"matrix size {size} exceeds the backend's bound {MAX_MATRIX_SIZE}")
+    return tuple(int(i == j) for i in range(size) for j in range(size))
+
+
+@cache
+def _matmul(size: int, modulus: int):
+    """The product of two size x size matrices over Z/modulus, row-major, as
+    a function generated once per space: it unpacks both factors' entries
+    into locals and reduces each sum by the modulus as a constant.  The
+    source is built from the two ints alone."""
+    n, m = int(size), int(modulus)
+    a, b = (", ".join(f"{x}{i}" for i in range(n * n)) for x in "ab")
+    dot = lambda i, j: " + ".join(f"a{i * n + k} * b{k * n + j}" for k in range(n))
+    entries = "".join(f"({dot(i, j)}) % {m}, " for i in range(n) for j in range(n))
+    namespace = {}
+    exec(f"def mul(a, b):\n    {a}, = a\n    {b}, = b\n    return ({entries})\n", namespace)
+    return namespace["mul"]
+
+
 class MatrixGroup(FiniteGroup):
     """Invertible size x size matrices over Z/modulus, stored row-major."""
 
@@ -479,30 +517,15 @@ class MatrixGroup(FiniteGroup):
     def __init__(self, size, modulus, elements):
         self.size = int(size)
         self.modulus = int(modulus)
-        if self.size < 1 or self.modulus < 2:
-            raise InputError("matrix backend needs size >= 1 and modulus >= 2")
-        n = self.size
-        identity = tuple(1 if i == j else 0 for i in range(n) for j in range(n))
-        super().__init__(map(self._check_element, elements), identity)
+        super().__init__(map(self._check_element, elements), _matrix_identity(self.size, self.modulus))
         self.generators  # certifies closure, as in _generated
 
+    @cached_property
+    def _product(self):
+        return _matmul(self.size, self.modulus)
+
     def mul(self, a, b):
-        m = self.modulus
-        if self.size == 2:
-            a0, a1, a2, a3 = a
-            b0, b1, b2, b3 = b
-            return (
-                (a0 * b0 + a1 * b2) % m,
-                (a0 * b1 + a1 * b3) % m,
-                (a2 * b0 + a3 * b2) % m,
-                (a2 * b1 + a3 * b3) % m,
-            )
-        n = self.size
-        return tuple(
-            sum(a[i * n + k] * b[k * n + j] for k in range(n)) % m
-            for i in range(n)
-            for j in range(n)
-        )
+        return self._product(a, b)
 
     def det(self, a) -> int:
         n = self.size
@@ -556,9 +579,7 @@ class MatrixGroup(FiniteGroup):
 
     @classmethod
     def from_generators(cls, size, modulus, generators, max_order=None):
-        size = int(size)
-        identity = tuple(int(i == j) for i in range(size) for j in range(size))
-        return cls(size, modulus, [identity])._generated(generators, max_order)
+        return cls(size, modulus, [_matrix_identity(int(size), int(modulus))])._generated(generators, max_order)
 
     @classmethod
     def general_linear(cls, size, modulus):
@@ -566,7 +587,7 @@ class MatrixGroup(FiniteGroup):
         size, modulus = int(size), int(modulus)
         if modulus ** (size * size) > 5_000_000:
             raise InputError("general linear carrier too large to enumerate")
-        trivial = cls(size, modulus, [tuple(int(i == j) for i in range(size) for j in range(size))])
+        trivial = cls(size, modulus, [_matrix_identity(size, modulus)])
         entries = itertools.product(range(modulus), repeat=size * size)
         return trivial.restrict(a for a in entries if gcd(trivial.det(a), modulus) == 1)
 

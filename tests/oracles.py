@@ -413,6 +413,15 @@ def naive_is_group_table(table):
     )
 
 
+def naive_matmul_mod(a, b, size, modulus):
+    """The product of two row-major size x size matrices mod modulus: entry
+    (i, j) is the sum over k of a[i][k] * b[k][j], reduced mod modulus."""
+    rows = lambda m: [list(m[i * size : (i + 1) * size]) for i in range(size)]
+    ra, rb = rows(a), rows(b)
+    product = [[sum(ra[i][k] * rb[k][j] for k in range(size)) % modulus for j in range(size)] for i in range(size)]
+    return tuple(v for row in product for v in row)
+
+
 def cofactor_det(rows):
     """Determinant by Laplace expansion along the first row."""
     if not rows:

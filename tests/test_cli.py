@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from zipcalc import cli
+from zipcalc import cli, groups
 from zipcalc.cli import COMMANDS, EXIT_CHECK, EXIT_CONFIG, EXIT_OK, EXIT_RESOURCE, load_job, main
 
 
@@ -618,6 +618,18 @@ def test_max_order_bounds_element_size_and_table_order(tmp_path, capsys):
         assert err.startswith(f"resource limit: {cfg}.groups.E: "), name
 
 
+def test_matrix_size_above_the_bound_exits_two_before_any_multiply(tmp_path, capsys, monkeypatch):
+    # the multiply is generated source with size^3 terms, so the size is
+    # refused before any is generated, whatever --max-order allows
+    monkeypatch.setattr(groups, "_matmul", lambda size, modulus: pytest.fail(f"multiply generated at size {size}"))
+    group = {"backend": "matrix", "size": 17, "modulus": 2, "generators": []}
+    cfg = write_config(tmp_path, "size17.json", {"groups": {"E": group, "G": group}, "tau": {"type": "trivial"},
+                                                 "sigma": {"type": "trivial"}})
+    code, out, err = run(capsys, "--config", str(cfg), "--command", "classes")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == f"config error: {cfg}.groups.E: matrix size 17 exceeds the backend's bound 16\n"
+
+
 def test_one_by_one_matrix_groups(tmp_path, capsys):
     units = {"backend": "matrix", "size": 1, "modulus": 5, "generators": [[2]]}
     cfg = write_config(tmp_path, "units.json", {"groups": {"E": units, "G": units}, "tau": {"type": "identity"},
@@ -974,6 +986,8 @@ S4 = {"backend": "permutation", "degree": 4, "generators": [[1, 0, 2, 3], [1, 2,
                      id="twist-permutation-outside"),
         pytest.param(_explicit(twist="(0 1 0)"), ".twist", "repeated point in cycle '(0 1 0)'",
                      id="twist-repeated-point"),
+        pytest.param(_explicit(twist="(0 1)(1 2)"), ".twist", "repeated point in cycle '(0 1)(1 2)'",
+                     id="twist-cycles-share-a-point"),
         pytest.param(_explicit(groups={"E": Z4_UNIPOTENTS, "G": Z4_UNIPOTENTS}, twist=[1, 0, 0, 3]), ".twist",
                      "matrix '[1,0,0,3]' is not in this group", id="twist-matrix-outside"),
         pytest.param(_explicit(groups={"E": C2, "G": C2}, twist=5), ".twist", "index 5 is not in this group",

@@ -98,6 +98,23 @@ def test_zip_classes_match_naive_on_small_zoo(zoo):
         assert sorted((c.witness, c.members) for c in report.classes) == oracles.naive_zip_classes(z), name
 
 
+def test_gl3f2_unitriangular_inclusion_datum():
+    # the one datum over 3x3 matrices: G = GL3(F2), E its upper unitriangular
+    # subgroup (order 8, from E12 and E23), tau = sigma the inclusion
+    G = MatrixGroup.from_generators(3, 2, [(0, 1, 0, 0, 0, 1, 1, 0, 0), (1, 1, 0, 0, 1, 0, 0, 0, 1)])
+    E = MatrixGroup.from_generators(3, 2, [(1, 1, 0, 0, 1, 0, 0, 0, 1), (1, 0, 0, 0, 1, 1, 0, 0, 1)])
+    assert (G.order, E.order) == (168, 8)
+    z = ZipDatum(E, G, inclusion_hom(E, G), inclusion_hom(E, G))
+    coarse, fine = zip_classes(z), fine_orbits(z)
+    assert coarse.class_count == 21 and all(c.size == 8 for c in coarse.classes)
+    assert fine.class_count == 27
+    assert sorted((c.witness, c.members) for c in coarse.classes) == oracles.naive_zip_classes(z)
+    assert sorted((c.witness, c.members) for c in fine.classes) == oracles.naive_fine_orbits(z)
+    assert len(build_forest(z).leaves) == 21
+    checks = run_verification(z)
+    assert len(checks) == 9 and all(c.passed for c in checks), [c for c in checks if not c.passed]
+
+
 def test_zip_class_witnesses_are_key_minimal(acceptance_classes):
     for name, report in acceptance_classes.items():
         for c in report.classes:

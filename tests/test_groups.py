@@ -109,6 +109,17 @@ def test_matrix_det_and_inverse_match_cofactor_oracle(data):
         assert g.inv(a) == tuple(v for row in inverse for v in row)
 
 
+@settings(max_examples=400)
+@given(st.data())
+def test_matrix_mul_matches_naive_oracle(data):
+    size = data.draw(st.integers(1, 5), label="size")
+    modulus = data.draw(st.integers(2, 12), label="modulus")
+    entries = st.lists(st.integers(0, modulus - 1), min_size=size * size, max_size=size * size)
+    a, b = tuple(data.draw(entries, label="a")), tuple(data.draw(entries, label="b"))
+    g = MatrixGroup(size, modulus, [tuple(int(i == j) for i in range(size) for j in range(size))])
+    assert g.mul(a, b) == oracles.naive_matmul_mod(a, b, size, modulus)
+
+
 @given(st.data())
 def test_matrix_group_algebra(data):
     g = MatrixGroup.general_linear(2, 6)
@@ -170,6 +181,11 @@ def test_permutation_cycle_notation(s3):
     assert s3.parse_element("(0 1)(2)") == (1, 0, 2)
     for text in ("(0 7)", "(0 x)", "(0 1) (2)", "((0 1))"):
         with pytest.raises(InputError):
+            s3.parse_element(text)
+    # cycles of one literal are disjoint; composing cycles that share a point
+    # would read "(0 1)(0 1)" as (0 1), not as the identity it multiplies to
+    for text in ("(0 1)(0 1)", "(0 1 2)(0 2 1)", "(0 1)(1 2)", "(0)(0)"):
+        with pytest.raises(InputError, match="repeated point in cycle"):
             s3.parse_element(text)
 
 
