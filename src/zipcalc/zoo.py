@@ -113,7 +113,8 @@ def build_witt_zip(config: WittZipConfig) -> tuple:
     the formulas, where no two points share a first coordinate: H is that
     graph over E, its first coordinates, and both formulas are
     homomorphisms on E.  In particular the divided conjugation is well
-    defined.
+    defined.  G, closed from its generators, and E are each checked against
+    their closed-form orders.
     """
     p, n = config.p, config.n
     pn = p**n
@@ -122,6 +123,8 @@ def build_witt_zip(config: WittZipConfig) -> tuple:
     gens = [(1, 1, 0, 1), (1, 0, p, 1)] + [(u, 0, 0, 1) for u in units] + [(1, 0, 0, u) for u in units]
     ambient = MatrixGroup(2, pn, [(1, 0, 0, 1)])
     G = MatrixGroup.general_linear(2, m)
+    if G.order != config.g_order:
+        raise InvariantViolation(f"Witt G has order {G.order}, expected {config.g_order}")
     tau, sigma = _certify(ambient, [G, G], lambda e: (witt_tau(e, m), witt_sigma(e, p, m)), gens)
     E = ambient.restrict(tau)
     if E.order != config.e_order:

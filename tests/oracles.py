@@ -422,6 +422,21 @@ def naive_matmul_mod(a, b, size, modulus):
     return tuple(v for row in product for v in row)
 
 
+def naive_general_linear(size, modulus):
+    """Every size x size matrix over Z/modulus, row-major, whose cofactor
+    determinant is a unit mod modulus."""
+    return frozenset(
+        entries
+        for entries in itertools.product(range(modulus), repeat=size * size)
+        if math.gcd(cofactor_det([entries[i * size : (i + 1) * size] for i in range(size)]), modulus) == 1
+    )
+
+
+def naive_symmetric(degree):
+    """Every permutation of 0..degree-1, as an image tuple."""
+    return frozenset(itertools.permutations(range(degree)))
+
+
 def cofactor_det(rows):
     """Determinant by Laplace expansion along the first row."""
     if not rows:

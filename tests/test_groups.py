@@ -55,6 +55,36 @@ def test_group_laws_all_backends(s3, gl2f2, c2cube):
         assert oracles.naive_is_group_table(table)
 
 
+GENERAL_LINEAR_SPACES = [(size, modulus) for size in (1, 2) for modulus in range(2, 13)] + [(3, 2), (3, 3), (3, 4)]
+
+
+@pytest.mark.parametrize("size, modulus", GENERAL_LINEAR_SPACES)
+def test_general_linear_is_every_invertible_matrix(size, modulus):
+    group = MatrixGroup.general_linear(size, modulus)
+    assert group.element_set == oracles.naive_general_linear(size, modulus)
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_symmetric_is_every_permutation(degree):
+    assert PermutationGroup.symmetric(degree).element_set == oracles.naive_symmetric(degree)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PermutationGroup.symmetric(9),
+        lambda: MatrixGroup.general_linear(2, 48),  # 48^4 = 5.3 M is past the 5 M bound
+        lambda: MatrixGroup.general_linear(3, 6),
+        lambda: MatrixGroup.general_linear(4, 3),
+        lambda: MatrixGroup.general_linear(5, 2),
+    ],
+)
+def test_builtin_group_bounds_refuse_before_building(monkeypatch, build):
+    monkeypatch.setattr(groups, "_mulclose", lambda *args, **kwargs: pytest.fail("closure started"))
+    with pytest.raises(InputError, match="carrier too large$"):
+        build()
+
+
 def test_gl2f2_matches_brute_force(gl2f2):
     assert gl2f2.order == 6
     assert gl2f2.element_set == frozenset(oracles.brute_force_gl2_carrier(2))
@@ -118,6 +148,8 @@ def test_matrix_mul_matches_naive_oracle(data):
     a, b = tuple(data.draw(entries, label="a")), tuple(data.draw(entries, label="b"))
     g = MatrixGroup(size, modulus, [tuple(int(i == j) for i in range(size) for j in range(size))])
     assert g.mul(a, b) == oracles.naive_matmul_mod(a, b, size, modulus)
+    assert g.format_element(a) == "[" + ",".join(map(str, a)) + "]"
+    assert g.restrict({g.identity, a}).parse_element(g.format_element(a)) == a
 
 
 @given(st.data())

@@ -74,6 +74,15 @@ def test_witt_e_order_is_checked_against_the_closed_form(monkeypatch):
         build_witt_zip(WittZipConfig(2, 2))
 
 
+def test_witt_g_order_is_checked_against_the_closed_form(monkeypatch):
+    # SL2(Z/m), a proper subgroup that its elementary matrices generate,
+    # passed off as GL2(Z/m): the build must refuse it before certifying
+    special_linear = lambda cls, size, modulus: cls.from_generators(size, modulus, [(1, 1, 0, 1), (1, 0, 1, 1)])
+    monkeypatch.setattr(MatrixGroup, "general_linear", classmethod(special_linear))
+    with pytest.raises(InvariantViolation, match="Witt G has order 24, expected 48"):
+        build_witt_zip(WittZipConfig(3, 2))
+
+
 @pytest.mark.parametrize(
     "formula, entry, match",
     [
