@@ -145,13 +145,15 @@ def classify(forest: RepForest, x) -> tuple:
     node the entry is the identity.  r_0 thus indexes the double coset of x,
     and the walk stops at the stable generation.
 
-    The transport of y = tau(e) * r * sigma(et) is tau(et * e), for the
-    witnesses (e, et) that ZipDatum.transport records on its walk of the
-    double coset.  The path does not depend on that choice: by the
-    induction, any witnesses carry y, and every element of y's class, into
-    one class of the refined r-twist, the child's datum, and that datum's
-    double cosets are unions of its classes, so each later entry is fixed by
-    the class alone."""
+    The transport of y = tau(e) * r * sigma(et) is tau(et * e), for
+    witnesses (e, et) over the pair (u, v) = (tau(e), sigma(et)) that the
+    double quotient's walk records for y (see groups.double_cosets), read
+    off by ZipDatum.transport.  The path does not depend on that choice: by
+    the induction, any witnesses carry y, and every element of y's class,
+    into one class of the refined r-twist, the child's datum, and that
+    datum's double cosets are unions of its classes, so each later entry is
+    fixed by the class alone.  Which (u, v) the walk records, and which e
+    over u and et over the pair (tau(et), v), is free in the same way."""
     G = forest.datum.G
     if x not in G:
         raise InputError("element outside the carrier of G")

@@ -15,6 +15,11 @@ E; a derived datum is its root, its G and its pair table, and E-level data
 are read on the root's E, so a derived datum's own E is built only when a
 caller asks for it.
 
+A datum's double quotient tau(E)\\G/sigma(E) is computed once and records,
+for each y in G, witnesses (u, v) in tau(E) x sigma(E) with y = u * r * v,
+r the representative; its transport table, which classification reads, is
+looked up from them and the pair table, with no walk of its own.
+
 Over finite carriers the refinement chain is decreasing and becomes
 stationary; the stationary E is the largest subgroup on which sigma maps into
 the tau-image, and its tau-image is the stationary G.
@@ -152,27 +157,15 @@ class ZipDatum:
         """y in G -> tau(et * e) for witnesses e, et in E with
         y = tau(e) * r * sigma(et), r the representative of y's double coset.
 
-        One walk of the double cosets from their representatives, by the
-        moves double_cosets makes, records the witnesses as it goes, as orbit
-        algorithms record words (Holt, Eick and O'Brien, ch. 4).  It carries
-        (tau(e), tau(et)) from (1, 1): left by a generator a of tau(E) gives
-        (a * tau(e), tau(et)), and right by a generator s of sigma(E) gives
-        (tau(e), tau(et) * t), t the first coordinate of a pair (t, s).
+        Read off the witnesses (u, v) that double_quotient records on its one
+        walk, y = u * r * v with u in tau(E) and v in sigma(E): u = tau(e)
+        for any e over u, and v = sigma(et) for any et in the fiber of a pair
+        (t, v), so tau(et) = t and the transport is t * u.  One dict {b: a}
+        over the pair table picks t.
         """
-        G, mul, pairs = self.G, self.G.mul, self._pairs.values()
-        moves = [(a, None, None) for a in self.tau_image.generating_set]
-        moves += [(None, s, next(t for t, b in pairs if b == s)) for s in self.sigma_image.generating_set]
-        carried = dict.fromkeys(self.double_quotient.representatives(), (G.identity, G.identity))
-        stack = list(carried)
-        while stack:
-            y = stack.pop()
-            tau_e, tau_et = carried[y]
-            for a, s, t in moves:
-                w = mul(a, y) if s is None else mul(y, s)
-                if w not in carried:
-                    carried[w] = (mul(a, tau_e), tau_et) if s is None else (tau_e, mul(tau_et, t))
-                    stack.append(w)
-        return {y: mul(tau_et, tau_e) for y, (tau_e, tau_et) in carried.items()}
+        first = {b: a for a, b in self._pairs.values()}
+        mul = self.G.mul
+        return {y: mul(first[v], u) for part in self.double_quotient for y, (u, v) in part.witnesses.items()}
 
     @cached_property
     def action_generators(self) -> tuple:

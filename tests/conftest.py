@@ -50,13 +50,13 @@ def twist_by_inverse(monkeypatch):
 
 @pytest.fixture
 def transport_reversed(monkeypatch):
-    """A mutant: ZipDatum.transport returns tau(e) * tau(et), the product of
-    its witnesses' images in the wrong order; the rest of its source is
-    unchanged."""
+    """A mutant: ZipDatum.transport returns u * t, tau(e) * tau(et), the
+    product of its witnesses' images in the wrong order; the rest of its
+    source is unchanged."""
     from zipcalc import zipdata
 
     source = textwrap.dedent(inspect.getsource(zipdata.ZipDatum.transport.func))
-    mutant = source.replace("mul(tau_et, tau_e) for y", "mul(tau_e, tau_et) for y")
+    mutant = source.replace("mul(first[v], u)", "mul(u, first[v])")
     assert mutant != source
     namespace = {}
     exec(mutant, vars(zipdata), namespace)

@@ -501,12 +501,23 @@ def test_double_cosets_trivial_subgroups(s3):
     assert all(c.members == frozenset([c.representative]) for c in dec)
 
 
+def assert_witnesses(group, dec, left, right):
+    """Every member y of every part has its recorded (u, v), u in left and
+    v in right, with y = u * r * v for the part's representative r."""
+    for c in dec:
+        assert c.witnesses.keys() == c.members
+        for y, (u, v) in c.witnesses.items():
+            assert u in left.members and v in right.members
+            assert y == group.mul(group.mul(u, c.representative), v)
+
+
 def test_borel_double_cosets(gl2f2):
     borel = closure(gl2f2, [(1, 1, 0, 1)])
     dec = double_cosets(gl2f2, borel, borel)
     assert sorted(len(c.members) for c in dec) == [2, 4]
     naive = oracles.naive_double_cosets(gl2f2, borel.elements, borel.elements)
     assert naive == sorted((c.representative, c.members) for c in dec)
+    assert_witnesses(gl2f2, dec, borel, borel)
 
 
 def test_witt_double_cosets_two_classes(witt22):
@@ -518,8 +529,11 @@ def test_witt_double_cosets_two_classes(witt22):
 
 @given(st.data())
 def test_double_cosets_partition(s4, data):
-    left = closure(s4, [s4.elements[data.draw(st.integers(0, s4.order - 1))]])
-    right = closure(s4, [s4.elements[data.draw(st.integers(0, s4.order - 1))]])
+    # one or two generators a side: with two a side can be non-abelian, where
+    # a witness multiplied on the wrong side of u or v shows
+    indices = st.lists(st.integers(0, s4.order - 1), min_size=1, max_size=2)
+    left = closure(s4, [s4.elements[i] for i in data.draw(indices)])
+    right = closure(s4, [s4.elements[i] for i in data.draw(indices)])
     dec = double_cosets(s4, left, right)
     union = set()
     total = 0
@@ -532,6 +546,7 @@ def test_double_cosets_partition(s4, data):
     assert oracles.naive_double_cosets(s4, left.elements, right.elements) == sorted(
         (c.representative, c.members) for c in dec
     )
+    assert_witnesses(s4, dec, left, right)
 
 
 def test_explicit_carrier_catches_non_subgroup(s3):

@@ -6,6 +6,9 @@ data whose tables were corrupted past their homomorphism certificate, a
 mutant twist, and a refinement trace cut one stage early.  The groupoid
 check's corrupted data are in test_equivalence, where its verdicts are
 compared with a naive oracle.
+
+Last, each input guard that no other test reaches raises its InputError on
+an argument from the wrong group or datum.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ import oracles
 from conftest import forged_hom
 from zipcalc import (
     ClassReport,
+    Homomorphism,
     InputError,
+    PermutationGroup,
     Subgroup,
     ZipClass,
     ZipDatum,
@@ -29,10 +34,13 @@ from zipcalc import (
     e_infinity_characterization_check,
     fine_orbits,
     groupoid_equivalence_check,
+    hom_from_generator_images,
+    inclusion_hom,
     limit_bijection_check,
     refine_to_stationary,
     refinement_bijection_check,
     torsor_check,
+    trivial_hom,
     twist,
     twist_refine_identity_check,
     zip_classes,
@@ -217,3 +225,69 @@ def test_torsor_check_rejects_a_trace_cut_early(witt22, request):
     request.getfixturevalue("trace_cut_early")
     assert refine_to_stationary(z).stationary_index >= 1
     assert not torsor_check(z, x, report=report)
+
+
+# a hashable value in no carrier
+OUTSIDE = "outside"
+# each guard's call on S3, S4 and witt-p2-n2, and the message it raises
+GUARDS = {
+    "duplicate-carrier-elements": (
+        lambda s3, s4, z: PermutationGroup(3, [s3.identity, s3.identity]),
+        "carrier contains duplicate elements",
+    ),
+    "hom-table-image-outside-target": (
+        lambda s3, s4, z: Homomorphism(s3, s3, dict.fromkeys(s3.elements, s4.identity)),
+        "homomorphism image outside the target carrier",
+    ),
+    "preimage-of-another-groups-subgroup": (
+        lambda s3, s4, z: inclusion_hom(s3, s3).preimage(Subgroup(s4, [s4.identity])),
+        "preimage argument is not a subgroup of the target",
+    ),
+    "hom-generator-outside-source": (
+        lambda s3, s4, z: hom_from_generator_images(s3, s3, [s4.identity], [s3.identity]),
+        "hom generator outside the source carrier",
+    ),
+    "hom-image-outside-target": (
+        lambda s3, s4, z: hom_from_generator_images(s3, s3, [s3.identity], [s4.identity]),
+        "hom image outside the target carrier",
+    ),
+    "double-cosets-of-another-space": (
+        lambda s3, s4, z: double_cosets(s3, Subgroup(s4, [s4.identity]), Subgroup(s3, [s3.identity])),
+        "left is not a subgroup of the ambient group",
+    ),
+    "refinement-bijection-x-outside-G": (
+        lambda s3, s4, z: refinement_bijection_check(z, OUTSIDE, coarse=zip_classes(z)),
+        "element outside the carrier of G",
+    ),
+    "torsor-x-outside-G": (
+        lambda s3, s4, z: torsor_check(z, OUTSIDE, report=zip_classes(z)),
+        "element outside the carrier of G",
+    ),
+    "limit-bijection-oracle-of-another-datum": (
+        lambda s3, s4, z: limit_bijection_check(build_forest(z), zip_classes(twist(z, z.G.identity))),
+        "oracle report belongs to a different zip datum",
+    ),
+    "sigma-targets-another-group": (
+        lambda s3, s4, z: ZipDatum(s3, s3, inclusion_hom(s3, s3), trivial_hom(s3, s4)),
+        "tau and sigma must share the target group G",
+    ),
+    # pair_of returns None for the witness outside E
+    "witness-outside-E": (
+        lambda s3, s4, z: twist_refine_identity_check(
+            z, z.G.identity, z.G.identity, witnesses=(OUTSIDE, z.E.identity)),
+        "precondition failed: witnesses are not in E",
+    ),
+    "twist-refine-x-outside-G": (
+        lambda s3, s4, z: twist_refine_identity_check(z, OUTSIDE, z.G.identity),
+        "precondition failed: x is not in G",
+    ),
+}
+
+
+@pytest.mark.parametrize("guard", GUARDS)
+def test_an_input_guard_raises_its_input_error(s3, s4, witt22, guard):
+    call, message = GUARDS[guard]
+    with pytest.raises(InputError) as caught:
+        call(s3, s4, witt22[0])
+    assert type(caught.value) is InputError
+    assert str(caught.value) == message

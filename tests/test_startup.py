@@ -226,7 +226,8 @@ def twin(cls):
 SAMPLES = [
     (Job, ("witt", None, 3), ("witt", None, 4)),
     (ZipClass, (1, frozenset({1, 2}), None), (1, frozenset({1}), None)),
-    (DoubleCoset, (0, frozenset({0, 1})), (1, frozenset({0, 1}))),
+    (DoubleCoset, (0, frozenset({0, 1}), {0: (0, 0), 1: (1, 0)}),
+     (1, frozenset({0, 1}), {1: (0, 0), 0: (1, 0)})),
     (RefinementTrace, ((1, 2),), ((1,),)),
     (CheckResult, ("torsor", True), ("torsor", False, "x")),
     (WittZipConfig, (2, 2), (3, 2)),
